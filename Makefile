@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench chaos-soak chaos-soak-long bench-guard bench-shards shard-matrix server-smoke shootout policy-matrix scale-smoke
+.PHONY: all build test race bench chaos-soak chaos-soak-long shard-matrix server-smoke shootout policy-matrix scale-smoke
 
 all: build test
 
@@ -14,8 +14,12 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# The repository's one benchmark (BENCHMARK.json; bench/README.md
+# defines every workload and metric): all five workloads into bench.json.
+# Compare two result sets from the same box with
+# `go run ./bench -agree before.json after.json`.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run ./bench -all -out bench.json
 
 # Seeded randomized compound fault plans (drops + flaps + corruption +
 # delays) under the full runtime invariant checker and the race
@@ -28,22 +32,9 @@ chaos-soak:
 chaos-soak-long:
 	$(GO) test -race -timeout 60m -v -run TestChaosSoak ./internal/check/chaos/ -chaos.seeds 250
 
-# Assert the checks-disabled Fig 2a rate stays within noise of the
-# recorded baseline (the checker's nil-hook path must cost nothing).
-bench-guard:
-	BENCH_BASELINE=BENCH_PR5.json $(GO) test -run TestBenchGuard -v .
-
-# Re-emit the shard-scaling curve (Fig 2a across shard counts 0–8; the
-# committed BENCH_PR7.json records this container's honest numbers) and
-# bound the windowed runtime's single-shard overhead against the serial
-# baseline.
-bench-shards:
-	BENCH_SHARDS_JSON=BENCH_PR7.json $(GO) test -run TestEmitShardBench -v .
-	BENCH_SHARDS_BASELINE=BENCH_PR5.json $(GO) test -run TestShardBenchGuard -v .
-
 # The sweep daemon end-to-end: start recnserved, submit a small figure
 # sweep over HTTP, poll to completion, diff the fetched results against
-# the recnsweep byte stream, exercise one admission-rejection path and
+# recnsim's tables, exercise one admission-rejection path and
 # the cache-hit resubmit, then SIGTERM-drain (same script CI runs).
 server-smoke:
 	./scripts/server-smoke.sh
@@ -61,22 +52,19 @@ shootout:
 policy-matrix:
 	$(GO) test -race ./internal/throttle/
 	$(GO) test -race -run 'TestThrottle|TestARN' ./internal/fabric/
-	$(GO) test -race -run 'TestShootout|TestDispatchGolden|TestValidatePolicyOptions' ./internal/experiments/
+	$(GO) test -race -run 'TestShootout|TestDispatchGolden|TestValidatePolicyOptions|TestOptionsValidate' ./internal/experiments/
 	$(GO) test -race -run TestAdmissionBadRequests ./internal/server/
 
 # The memory-scaling smoke: the lazy-state equivalence and fat-tree
 # battery under the race detector, the 1k-host fat-tree scaling figure
-# at -shards 1 vs 4 (byte-identity), the 4k scale-benchmark guard
-# against the committed BENCH_PR11.json curve, and a short chaos soak
-# (which samples the fat-tree topology on a quarter of its seeds).
+# at -shards 1 vs 4 (byte-identity), and a short chaos soak (which
+# samples the fat-tree topology on a quarter of its seeds).
 scale-smoke:
 	$(GO) test -race -run 'TestFatTree|TestLazyEager|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction' ./internal/topology/ ./internal/fabric/ ./internal/experiments/
-	$(GO) test -race -run TestScaleBenchSmoke .
 	$(GO) build -o /tmp/recnsim-scale ./cmd/recnsim
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 1 > /tmp/scaling1k-s1.txt
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 4 > /tmp/scaling1k-s4.txt
 	cmp /tmp/scaling1k-s1.txt /tmp/scaling1k-s4.txt
-	SCALE_BENCH_BASELINE=BENCH_PR11.json $(GO) test -run TestScaleBenchGuard -v .
 	$(GO) test -race -run TestChaosSoak ./internal/check/chaos/ -chaos.seeds 12
 
 # The windowed runtime's bit-identity matrix under the race detector:

@@ -1,116 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/fabric"
-
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
-
-// Options control figure reproduction runs.
-type Options struct {
-	// Scale compresses all simulated times; 1.0 reproduces the paper's
-	// durations (800 µs hotspot onset, 1600 µs runs).
-	Scale float64
-	// PacketSize in bytes (default 64, the paper's primary setting).
-	PacketSize int
-	// MaxRows caps printed table rows (default 40).
-	MaxRows int
-	// Policies overrides the mechanism list where applicable.
-	Policies []fabric.Policy
-	// Topo selects the topology family for every run ("" = the paper's
-	// perfect-shuffle MIN; see Run.Topo / BuildTopology).
-	Topo string
-	// EagerState disables the fabric's lazy state materialization on
-	// every run (see Run.EagerState). Figure output is bit-identical
-	// either way; the flag exists for the equivalence tests and for
-	// measuring the eager memory footprint.
-	EagerState bool
-	// FaultSpec, if non-empty, injects faults into every run (see
-	// fault.ParsePlan for the syntax) with the default recovery layer
-	// enabled; the per-run fault/recovery accounting is appended to the
-	// figure's table notes.
-	FaultSpec string
-	// ThrottleSpec / ARNSpec override the throttle and arn policy
-	// tunables for every run that uses those policies (see
-	// throttle.ParseSpec and fabric.ParseARNSpec). Empty = defaults
-	// (and unchanged cache keys).
-	ThrottleSpec string
-	ARNSpec      string
-	// Parallelism is the sweep worker-pool size: every figure, table
-	// and ablation fans its independent runs across this many workers
-	// (0 = GOMAXPROCS, 1 = serial). Results are reassembled in spec
-	// order, so output is byte-identical at any setting.
-	Parallelism int
-	// CacheDir, if non-empty, enables the on-disk run-result cache:
-	// runs whose spec hash matches a stored entry load instead of
-	// re-simulating (see RunCache).
-	CacheDir string
-	// NoCache disables the cache even when CacheDir is set.
-	NoCache bool
-	// OnCacheSummary, if set alongside CacheDir, receives the cache
-	// accounting of each sweep as it completes — including the
-	// store-failure tally a sweep deliberately does not fail on (a
-	// failed cache write only costs a future re-simulation, but it must
-	// not be silent: the CLIs warn on stderr when StoreFailures > 0).
-	OnCacheSummary func(CacheSummary)
-	// Shards runs every simulation on the windowed multi-core runtime
-	// with this many shard engines (see Run.Shards); 0 keeps the serial
-	// engine. Results are bit-identical across shard counts ≥ 1 but
-	// deterministically differ from serial results, and sharded runs
-	// bypass the result cache.
-	Shards int
-	// Trace, if non-nil, attaches a flight recorder to every run of
-	// the figure (a fresh recorder per run — they are single-use).
-	Trace *trace.Config
-	// OnTrace, if set alongside Trace, receives each run's recorder as
-	// the run finishes; label is the mechanism name.
-	OnTrace func(label string, rec *trace.Recorder)
-	// Check enables the runtime invariant checker on every run (see
-	// Run.Check): audits are pure observers, so figures are identical
-	// with checking on, but violations abort the figure with a
-	// diagnostics snapshot. Checked runs bypass the result cache.
-	Check bool
-	// Context, if non-nil, makes every sweep under these options
-	// cancellable: when it is canceled or times out, sweeps stop
-	// scheduling runs, interrupt in-flight serial runs, and return an
-	// error matching errors.Is(err, ErrCanceled) (see SweepContext).
-	// recnsweep wires Ctrl-C/SIGTERM here; the daemon wires each job's
-	// cancellation.
-	Context context.Context
-	// Cache, if non-nil, is an already-open run cache used instead of
-	// CacheDir. Sharing one handle across concurrent sweeps (the
-	// daemon's workers) lets duplicate specs single-flight in-process
-	// on top of the on-disk store.
-	Cache *RunCache
-	// OnRunDone, if set, is called as each run of a sweep completes
-	// with the run's index, spec, result, and whether it was served
-	// from the cache. Under Parallelism > 1 it is called concurrently
-	// from worker goroutines and in completion (not spec) order; the
-	// daemon streams these as live per-run events.
-	OnRunDone func(index int, r Run, res *Result, cached bool)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Scale <= 0 {
-		o.Scale = 1.0
-	}
-	if o.PacketSize <= 0 {
-		o.PacketSize = 64
-	}
-	if o.MaxRows <= 0 {
-		o.MaxRows = 40
-	}
-	return o
-}
-
-func (o Options) t(us float64) sim.Time {
-	return sim.Time(us * o.Scale * float64(sim.Microsecond))
-}
 
 // FigThroughput is a reproduced throughput-over-time figure.
 type FigThroughput struct {
@@ -297,36 +193,14 @@ func runPolicies(hosts int, policies []fabric.Policy, o Options, key string,
 		bin = sim.Microsecond
 	}
 	runs := make([]Run, len(policies))
+	labels := make([]string, len(policies))
 	for i, p := range policies {
-		runs[i] = Run{
-			Hosts:        hosts,
-			Policy:       p,
-			PacketSize:   o.PacketSize,
-			Topo:         o.Topo,
-			EagerState:   o.EagerState,
-			Key:          key,
-			Workload:     workload,
-			Until:        until,
-			Bin:          bin,
-			Mutate:       mutate,
-			FaultSpec:    o.FaultSpec,
-			ThrottleSpec: o.ThrottleSpec,
-			ARNSpec:      o.ARNSpec,
-			Trace:        o.Trace,
-			Check:        o.Check,
-			Shards:       o.Shards,
-		}
+		runs[i] = Run{Hosts: hosts, Policy: p, Key: key, Workload: workload, Until: until, Bin: bin, Mutate: mutate}
+		labels[i] = p.String()
 	}
-	results, err := Sweep(runs, o)
+	results, err := o.sweep(runs, labels)
 	if err != nil {
 		return nil, 0, err
-	}
-	if o.OnTrace != nil {
-		for i, p := range policies {
-			if results[i].Trace != nil {
-				o.OnTrace(p.String(), results[i].Trace)
-			}
-		}
 	}
 	return results, bin, nil
 }
@@ -526,24 +400,15 @@ func runAblations(o Options, cases []ablationCase) ([]AblationResult, error) {
 	}
 	bin := until / 160
 	runs := make([]Run, len(cases))
+	labels := make([]string, len(cases))
 	for i, c := range cases {
 		runs[i] = Run{
-			Hosts:      64,
-			Policy:     fabric.PolicyRECN,
-			PacketSize: o.PacketSize,
-			Topo:       o.Topo,
-			EagerState: o.EagerState,
-			Key:        cornerKey(2) + "|" + c.keyFor,
-			Workload:   workload,
-			Until:      until,
-			Bin:        bin,
-			Mutate:     c.mutate,
-			FaultSpec:  o.FaultSpec,
-			Check:      o.Check,
-			Shards:     o.Shards,
+			Hosts: 64, Policy: fabric.PolicyRECN, Key: cornerKey(2) + "|" + c.keyFor,
+			Workload: workload, Until: until, Bin: bin, Mutate: c.mutate,
 		}
+		labels[i] = c.keyFor
 	}
-	results, err := Sweep(runs, o)
+	results, err := o.sweep(runs, labels)
 	if err != nil {
 		return nil, err
 	}

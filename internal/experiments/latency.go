@@ -52,6 +52,7 @@ func LatencyFig(corner int, o Options) (*Table, error) {
 	// independent; the rows render in policy order afterwards. (Shards
 	// was rejected above: Observe needs the serial engine.)
 	runs := make([]Run, len(policies))
+	labels := make([]string, len(policies))
 	perPolicy := make([][]*stats.Latency, len(policies))
 	for pi, p := range policies {
 		lats := make([]*stats.Latency, len(windows))
@@ -59,14 +60,12 @@ func LatencyFig(corner int, o Options) (*Table, error) {
 			lats[i] = stats.NewLatency()
 		}
 		perPolicy[pi] = lats
+		labels[pi] = p.String()
 		runs[pi] = Run{
-			Hosts:      64,
-			Policy:     p,
-			PacketSize: o.PacketSize,
-			Workload:   workload,
-			Until:      until,
-			FaultSpec:  o.FaultSpec,
-			Check:      o.Check,
+			Hosts:    64,
+			Policy:   p,
+			Workload: workload,
+			Until:    until,
 			Observe: func(now sim.Time, pk *pkt.Packet) {
 				for i, w := range windows {
 					if now >= w.from && now < w.to {
@@ -76,7 +75,7 @@ func LatencyFig(corner int, o Options) (*Table, error) {
 			},
 		}
 	}
-	if _, err := Sweep(runs, o); err != nil {
+	if _, err := o.sweep(runs, labels); err != nil {
 		return nil, err
 	}
 	for pi, p := range policies {

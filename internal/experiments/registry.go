@@ -9,102 +9,69 @@ import (
 )
 
 // This file is the figure registry: every reproducible table and figure
-// of the paper (plus the extensions) by ID. It used to live in the
-// repro facade; it moved here so the sweep daemon (internal/server) can
-// run figures by ID without importing the facade — the facade now
-// delegates down.
+// of the paper (plus the extensions) by ID, in internal/experiments so
+// the sweep daemon (internal/server) can run figures by ID without
+// importing the repro facade, which delegates down.
 
-type figureRunner func(o Options) ([]*Table, error)
-
-var figureRunners = map[string]figureRunner{
-	"table1": func(o Options) ([]*Table, error) {
-		t, err := Table1()
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	},
-	"2a": fig2Runner(1, 0),
-	"2b": fig2Runner(2, 0),
-	"2c": func(o Options) ([]*Table, error) {
-		fig, err := Fig2(1, o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{fig.Zoom(750, 1000, fabric.PolicyVOQnet, fabric.PolicyRECN)}, nil
-	},
-	"2d": func(o Options) ([]*Table, error) {
-		fig, err := Fig2(2, o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{fig.Zoom(750, 1000, fabric.PolicyVOQnet, fabric.PolicyRECN)}, nil
-	},
-	"3a":      fig3Runner(20),
-	"3b":      fig3Runner(40),
-	"4a":      fig4Runner(1),
-	"4b":      fig4Runner(2),
-	"5a":      fig5Runner(20),
-	"5b":      fig5Runner(40),
-	"6a":      fig6Runner(256),
-	"6b":      fig6Runner(512),
-	"pkt512a": fig2Runner(1, 512),
-	"pkt512b": fig2Runner(2, 512),
-	"a1": func(o Options) ([]*Table, error) {
-		t, err := AblationSAQCount(o, nil)
-		return []*Table{t}, err
-	},
-	"a2": func(o Options) ([]*Table, error) {
-		t, err := AblationThreshold(o, nil)
-		return []*Table{t}, err
-	},
-	"a3": func(o Options) ([]*Table, error) {
-		t, err := AblationTokenBoost(o)
-		return []*Table{t}, err
-	},
-	"a4": func(o Options) ([]*Table, error) {
-		t, err := AblationMarkers(o)
-		return []*Table{t}, err
-	},
-	"lat1": func(o Options) ([]*Table, error) {
-		t, err := LatencyFig(1, o)
-		return []*Table{t}, err
-	},
-	"lat2": func(o Options) ([]*Table, error) {
-		t, err := LatencyFig(2, o)
-		return []*Table{t}, err
-	},
-	"shootout": Shootout,
-	"scaling": func(o Options) ([]*Table, error) {
-		t, err := Scaling(4096, o)
-		return []*Table{t}, err
-	},
-	"scaling1k": func(o Options) ([]*Table, error) {
-		t, err := Scaling(1024, o)
-		return []*Table{t}, err
-	},
+// figure is one registry entry: how to reproduce it, and the facts
+// Options.Validate and the daemon's admission control need about it.
+type figure struct {
+	run func(o Options) ([]*Table, error)
+	// runs estimates how many simulations run schedules under default
+	// options. Options.Policies or custom ablation lists change the real
+	// count, so it is an estimate, not an invariant.
+	runs int
+	// serial marks the figures that cannot run on the sharded runtime:
+	// the latency tables read every delivery through Run.Observe.
+	serial bool
 }
 
-// figureRuns estimates, per figure ID, how many simulations Reproduce
-// schedules under default options ("table1" builds traffic specs only
-// and simulates nothing). Admission control in the sweep daemon sizes
-// submissions with it; Options.Policies or custom ablation lists change
-// the real count, so it is an estimate, not an invariant.
-var figureRuns = map[string]int{
-	"table1": 0,
-	"2a":     5, "2b": 5, "2c": 5, "2d": 5,
-	"3a": 4, "3b": 4,
-	"4a": 1, "4b": 1,
-	"5a": 1, "5b": 1,
-	"6a": 3, "6b": 3,
-	"pkt512a": 5, "pkt512b": 5,
-	"a1": 5, "a2": 5, "a3": 2, "a4": 2,
-	"lat1": 3, "lat2": 3,
-	"shootout": 20,
-	"scaling": 4, "scaling1k": 4,
+var registry = map[string]figure{
+	// Table 1 builds traffic specs only and simulates nothing.
+	"table1":    {run: func(Options) ([]*Table, error) { return oneTable(Table1()) }},
+	"2a":        {run: fig2(1, 0, false), runs: 5},
+	"2b":        {run: fig2(2, 0, false), runs: 5},
+	"2c":        {run: fig2(1, 0, true), runs: 5},
+	"2d":        {run: fig2(2, 0, true), runs: 5},
+	"3a":        {run: func(o Options) ([]*Table, error) { return figTable(Fig3(20, o)) }, runs: 4},
+	"3b":        {run: func(o Options) ([]*Table, error) { return figTable(Fig3(40, o)) }, runs: 4},
+	"4a":        {run: func(o Options) ([]*Table, error) { return figTable(Fig4(1, o)) }, runs: 1},
+	"4b":        {run: func(o Options) ([]*Table, error) { return figTable(Fig4(2, o)) }, runs: 1},
+	"5a":        {run: func(o Options) ([]*Table, error) { return figTable(Fig5(20, o)) }, runs: 1},
+	"5b":        {run: func(o Options) ([]*Table, error) { return figTable(Fig5(40, o)) }, runs: 1},
+	"6a":        {run: fig6(256), runs: 3},
+	"6b":        {run: fig6(512), runs: 3},
+	"pkt512a":   {run: fig2(1, 512, false), runs: 5},
+	"pkt512b":   {run: fig2(2, 512, false), runs: 5},
+	"a1":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationSAQCount(o, nil)) }, runs: 5},
+	"a2":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationThreshold(o, nil)) }, runs: 5},
+	"a3":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationTokenBoost(o)) }, runs: 2},
+	"a4":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationMarkers(o)) }, runs: 2},
+	"lat1":      {run: func(o Options) ([]*Table, error) { return oneTable(LatencyFig(1, o)) }, runs: 3, serial: true},
+	"lat2":      {run: func(o Options) ([]*Table, error) { return oneTable(LatencyFig(2, o)) }, runs: 3, serial: true},
+	"shootout":  {run: Shootout, runs: 20},
+	"scaling":   {run: func(o Options) ([]*Table, error) { return oneTable(Scaling(4096, o)) }, runs: 4},
+	"scaling1k": {run: func(o Options) ([]*Table, error) { return oneTable(Scaling(1024, o)) }, runs: 4},
 }
 
-func fig2Runner(corner, pktSize int) figureRunner {
+func oneTable(t *Table, err error) ([]*Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t}, nil
+}
+
+func figTable[F interface{ Table() *Table }](fig F, err error) ([]*Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{fig.Table()}, nil
+}
+
+// fig2 runs Figure 2 for a corner case: the full series, or the zoom on
+// the congestion-tree window that Figures 2.c/2.d plot; pktSize
+// overrides the packet size (the 512-byte variants).
+func fig2(corner, pktSize int, zoom bool) func(Options) ([]*Table, error) {
 	return func(o Options) ([]*Table, error) {
 		if pktSize != 0 {
 			o.PacketSize = pktSize
@@ -113,41 +80,14 @@ func fig2Runner(corner, pktSize int) figureRunner {
 		if err != nil {
 			return nil, err
 		}
-		return []*Table{fig.Table()}, nil
-	}
-}
-
-func fig3Runner(cf float64) figureRunner {
-	return func(o Options) ([]*Table, error) {
-		fig, err := Fig3(cf, o)
-		if err != nil {
-			return nil, err
+		if zoom {
+			return []*Table{fig.Zoom(750, 1000, fabric.PolicyVOQnet, fabric.PolicyRECN)}, nil
 		}
 		return []*Table{fig.Table()}, nil
 	}
 }
 
-func fig4Runner(corner int) figureRunner {
-	return func(o Options) ([]*Table, error) {
-		fig, err := Fig4(corner, o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{fig.Table()}, nil
-	}
-}
-
-func fig5Runner(cf float64) figureRunner {
-	return func(o Options) ([]*Table, error) {
-		fig, err := Fig5(cf, o)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{fig.Table()}, nil
-	}
-}
-
-func fig6Runner(hosts int) figureRunner {
+func fig6(hosts int) func(Options) ([]*Table, error) {
 	return func(o Options) ([]*Table, error) {
 		tput, saq, err := Fig6(hosts, o)
 		if err != nil {
@@ -157,38 +97,32 @@ func fig6Runner(hosts int) figureRunner {
 	}
 }
 
-// FigureIDs lists every reproducible experiment, in paper order.
+// FigureIDs lists every reproducible experiment, sorted.
 func FigureIDs() []string {
-	ids := make([]string, 0, len(figureRunners))
-	for id := range figureRunners {
+	ids := make([]string, 0, len(registry))
+	for id := range registry {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids
 }
 
-// KnownFigure reports whether an ID names a reproducible experiment.
-func KnownFigure(id string) bool {
-	_, ok := figureRunners[strings.ToLower(id)]
-	return ok
-}
-
 // EstimatedRuns returns how many simulations Reproduce(id) schedules
 // under default options; false for unknown IDs.
 func EstimatedRuns(id string) (int, bool) {
-	n, ok := figureRuns[strings.ToLower(id)]
-	return n, ok
+	f, ok := registry[strings.ToLower(id)]
+	return f.runs, ok
 }
 
 // Reproduce regenerates one of the paper's tables or figures by ID
 // ("table1", "2a"–"2d", "3a"/"3b", "4a"/"4b", "5a"/"5b", "6a"/"6b",
-// "pkt512a"/"pkt512b", ablations "a1"–"a4", and the latency extension
-// "lat1"/"lat2"). Options.Scale trades fidelity for speed; 1.0
-// reproduces the paper's durations.
+// "pkt512a"/"pkt512b", ablations "a1"–"a4", and the extensions
+// "lat1"/"lat2", "shootout", "scaling"/"scaling1k"). Options.Scale
+// trades fidelity for speed; 1.0 reproduces the paper's durations.
 func Reproduce(id string, o Options) ([]*Table, error) {
-	runner, ok := figureRunners[strings.ToLower(id)]
+	f, ok := registry[strings.ToLower(id)]
 	if !ok {
 		return nil, fmt.Errorf("repro: unknown figure %q (have %s)", id, strings.Join(FigureIDs(), ", "))
 	}
-	return runner(o)
+	return f.run(o)
 }

@@ -106,11 +106,6 @@ type Run struct {
 	// adaptive up-routing, "mesh" a square 2D mesh (Hosts must be a
 	// perfect square). See BuildTopology.
 	Topo string
-	// EagerState disables the fabric's lazy queue/credit
-	// materialization (fabric.Config.EagerState): results are
-	// bit-identical either way, but the memory accounting differs, so
-	// the flag is part of the spec key.
-	EagerState bool
 	// Key names the non-declarative parts of the spec (the Workload and
 	// Mutate closures) for the sweep engine: it feeds SpecKey/SpecHash,
 	// which identify the run in the result cache and derive the run's
@@ -209,7 +204,6 @@ func (r Run) buildConfig() (fabric.Config, error) {
 	}
 	cfg := fabric.DefaultConfig(topo)
 	cfg.Policy = r.Policy
-	cfg.EagerState = r.EagerState
 	if r.PacketSize > 0 {
 		cfg.PacketSize = r.PacketSize
 	}
@@ -328,8 +322,7 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		// submission order and parallelism, distinct across runs with
 		// different specs (each policy of a fault sweep gets its own
 		// deterministic fault stream).
-		spec := strings.ReplaceAll(r.FaultSpec, "seed=auto", fmt.Sprintf("seed=%d", r.DerivedSeed()))
-		faults, err = fault.ParsePlan(spec)
+		faults, err = parseFaultSpec(r.FaultSpec, r.DerivedSeed())
 		if err != nil {
 			return nil, err
 		}
@@ -487,18 +480,12 @@ func (r Run) simulate(ctx context.Context, net *fabric.Network) (err error) {
 		} else {
 			net.FinishWindowed()
 		}
-	} else if ctx.Done() == nil {
-		net.Engine.Run(r.Until)
-		if r.DrainAll {
-			net.Engine.Drain()
-		}
 	} else {
-		// Cancellable: run the horizon in chunks, checking the context
-		// between them. Chunking dispatches the exact same events in the
-		// exact same order as one Run call — the chunk boundaries only
-		// bound how late a cancellation is noticed — so a run under a
-		// cancellable context that is never canceled is bit-identical
-		// (results, event counts, trace stamps) to one without.
+		// Run the horizon in chunks, checking the context between them.
+		// Chunking dispatches the exact same events in the exact same
+		// order as one Run call — the chunk boundaries only bound how
+		// late a cancellation is noticed — so results, event counts and
+		// trace stamps do not depend on it.
 		step := r.Until / 128
 		if step <= 0 {
 			step = r.Until

@@ -14,7 +14,7 @@ import (
 // preallocated (eager) model. The memory columns come from the
 // deterministic byte model (fabric.MemStats / EagerMemModel), so the
 // table is bit-identical at any shard count; real process RSS is the
-// benchmark harness's job (BENCH_PR11.json), not the figure's.
+// benchmark harness's job (go run ./bench), not the figure's.
 
 // scalingPolicies is the comparison set: the paper's best case
 // (VOQnet), worst case (1Q), the practical middle (VOQsw) and RECN.
@@ -80,10 +80,7 @@ func ScalingRun(hosts int, p fabric.Policy, o Options) (Run, error) {
 	if err != nil {
 		return Run{}, err
 	}
-	return Run{
-		Hosts: hosts, Policy: p, PacketSize: o.PacketSize, Topo: o.Topo,
-		Key: scalingKey(), Workload: c.Install, Until: c.SimEnd,
-	}, nil
+	return o.stamp(Run{Hosts: hosts, Policy: p, Key: scalingKey(), Workload: c.Install, Until: c.SimEnd}), nil
 }
 
 // Config exposes the run's resolved fabric configuration (buildConfig
@@ -111,13 +108,9 @@ func Scaling(hosts int, o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := "lazy"
-	if o.EagerState {
-		mode = "eager"
-	}
 	t := &Table{
-		Title: fmt.Sprintf("Scaling: %d hosts, %s topology, %d-byte packets (%s state)",
-			hosts, o.Topo, o.PacketSize, mode),
+		Title: fmt.Sprintf("Scaling: %d hosts, %s topology, %d-byte packets (lazy state)",
+			hosts, o.Topo, o.PacketSize),
 		Header: []string{"policy", "tput_hot_B/ns", "tput_after_B/ns", "p99_lat_us",
 			"state_KB", "B/port", "eager_B/port", "lazy/eager"},
 	}
@@ -128,7 +121,7 @@ func Scaling(hosts int, o Options) (*Table, error) {
 			to := int(o.t(toUs) / bin)
 			return res.Throughput.MeanRate(from, to)
 		}
-		eager, err := Run{Hosts: hosts, Policy: p, PacketSize: o.PacketSize, Topo: o.Topo}.EagerMemModel()
+		eager, err := o.stamp(Run{Hosts: hosts, Policy: p}).EagerMemModel()
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,7 @@ func reportSansMem(t *testing.T, r Run) string {
 	t.Helper()
 	res, err := r.Execute()
 	if err != nil {
-		t.Fatalf("eager=%v topo=%q: %v", r.EagerState, r.Topo, err)
+		t.Fatalf("topo=%q: %v", r.Topo, err)
 	}
 	rep := res.Report()
 	rep.Mem = nil
@@ -31,7 +31,10 @@ func reportSansMem(t *testing.T, r Run) string {
 // The same checked, fully drained hotspot run — on the MIN and on the
 // fat tree, under the policy with the most lazy state (VOQnet) and
 // under RECN (lazy CAM controllers) — must report bit-identically with
-// EagerState on and off.
+// fabric.Config.EagerState on and off. The eager layout is reachable only
+// as this reference, through Run.Mutate.
+func eagerState(cfg *fabric.Config) { cfg.EagerState = true }
+
 func TestLazyEagerRunBitIdentity(t *testing.T) {
 	workload, until, err := CornerWorkload(2, 64, 64, 0.02)
 	if err != nil {
@@ -44,7 +47,7 @@ func TestLazyEagerRunBitIdentity(t *testing.T) {
 				Workload: workload, Until: until, DrainAll: true, Check: true,
 			}
 			lazy := reportSansMem(t, r)
-			r.EagerState = true
+			r.Mutate = eagerState
 			eager := reportSansMem(t, r)
 			if lazy != eager {
 				t.Errorf("topo=%q policy=%s: lazy and eager reports differ", topo, p)
@@ -59,17 +62,20 @@ func TestLazyEagerFigureBitIdentity(t *testing.T) {
 	o := Options{
 		Scale:    0.02,
 		Policies: []fabric.Policy{fabric.PolicyVOQnet, fabric.PolicyRECN},
-	}
-	figLazy, err := Fig2(1, o)
+	}.withDefaults()
+	workload, until, err := CornerWorkload(1, 64, o.PacketSize, o.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.EagerState = true
-	figEager, err := Fig2(1, o)
-	if err != nil {
-		t.Fatal(err)
+	render := func(mutate func(*fabric.Config)) string {
+		results, bin, err := runPolicies(64, o.Policies, o, cornerKey(1), workload, until, mutate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig := &FigThroughput{Title: "fig2", Bin: bin, Policies: o.Policies, Results: results, maxRows: o.MaxRows, scale: o.Scale}
+		return fig.Table().String()
 	}
-	if figLazy.Table().String() != figEager.Table().String() {
+	if render(nil) != render(eagerState) {
 		t.Error("fig2 rendered bytes differ between lazy and eager state")
 	}
 }
@@ -166,5 +172,31 @@ func TestLazyStateWinUnderHotspot(t *testing.T) {
 	}
 	if res.Mem.BytesPerPort() <= 0 || eager.BytesPerPort() <= res.Mem.BytesPerPort() {
 		t.Errorf("bytes/port not improved: lazy %.0f, eager %.0f", res.Mem.BytesPerPort(), eager.BytesPerPort())
+	}
+}
+
+// The modeled state is deterministic, so one point of the scaling curve
+// is pinned to the byte: the 512-host VOQnet hotspot at scale 0.02
+// materializes exactly what it did when the curve was first recorded,
+// and stays within the 25% budget of the eager model.
+func TestScalingHotspotStateBytes(t *testing.T) {
+	const recorded = 70_299_440
+	r, err := ScalingRun(512, fabric.PolicyVOQnet, Options{Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := r.EagerMemModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem == nil || res.Mem.StateBytes != recorded {
+		t.Errorf("modeled state %+v, want %d bytes (memory model drifted)", res.Mem, recorded)
+	}
+	if ratio := float64(recorded) / float64(eager.StateBytes); ratio > 0.25 {
+		t.Errorf("lazy/eager ratio %.3f exceeds the 25%% budget (eager model %d bytes)", ratio, eager.StateBytes)
 	}
 }

@@ -129,7 +129,9 @@ func Shootout(o Options) ([]*Table, error) {
 	}
 	for _, sc := range scenarios {
 		so := o
-		so.FaultSpec = sc.faults
+		if sc.faults != "" {
+			so.FaultSpec = sc.faults
+		}
 		results, bin, err := runPolicies(64, policies, so, sc.key, sc.workload, sc.until, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: shootout %s: %w", sc.key, err)
@@ -172,7 +174,6 @@ func shootoutScenarios(o Options) ([]shootoutScenario, error) {
 			name:     fmt.Sprintf("corner%d", corner),
 			workload: workload,
 			until:    until,
-			faults:   o.FaultSpec,
 		})
 	}
 	for _, degree := range []int{8, 32} {
@@ -185,7 +186,6 @@ func shootoutScenarios(o Options) ([]shootoutScenario, error) {
 			name:     fmt.Sprintf("hot-degree %d", degree),
 			workload: c.Install,
 			until:    c.SimEnd,
-			faults:   o.FaultSpec,
 		})
 	}
 	workload, until, err := CornerWorkload(2, 64, o.PacketSize, o.Scale)

@@ -48,14 +48,11 @@ func (r Run) SpecKey() string {
 	if r.ARNSpec != "" {
 		k += "|arn=" + r.ARNSpec
 	}
-	// Topology and eager-state markers follow the same append-only rule:
-	// the default ("" = MIN, lazy) leaves every pre-existing key — and
-	// with it every cache entry and derived seed — byte-identical.
+	// The topology marker follows the same append-only rule: the default
+	// ("" = MIN) leaves every pre-existing key — and with it every cache
+	// entry and derived seed — byte-identical.
 	if r.Topo != "" {
 		k += "|topo=" + r.Topo
-	}
-	if r.EagerState {
-		k += "|eager=true"
 	}
 	return k
 }
@@ -388,11 +385,7 @@ type CacheSummary struct {
 // failing run is returned, which keeps error output deterministic too.
 // With Options.Context set it is cancellable — see SweepContext.
 func Sweep(runs []Run, o Options) ([]*Result, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return SweepContext(ctx, runs, o)
+	return SweepContext(o.Context, runs, o)
 }
 
 // SweepContext is Sweep under an explicit context (which wins over

@@ -92,10 +92,11 @@ func (t *Table) FprintCSV(w io.Writer) error {
 	return nil
 }
 
-// FprintTables writes tables back-to-back with no separator — the
-// exact byte stream recnsweep prints, and therefore the stream the
-// daemon's text results endpoint must produce for the API-vs-CLI
-// byte-identity contract.
+// FprintTables writes tables back-to-back with no separator: the byte
+// stream of the daemon's text results endpoint, which the
+// API-vs-library byte-identity contract compares against this function
+// run on a direct Reproduce (recnsim prints the same tables with a blank
+// line after each).
 func FprintTables(w io.Writer, tables []*Table) {
 	for _, t := range tables {
 		t.Fprint(w)

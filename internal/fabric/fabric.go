@@ -104,6 +104,15 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("fabric: unknown policy %q (valid: %s)", s, PolicyNames())
 }
 
+// MarshalText and UnmarshalText put a Policy on the wire by name, so a
+// JSON "policies":["RECN","1Q"] decodes straight into []Policy.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Policy) UnmarshalText(text []byte) (err error) {
+	*p, err = ParsePolicy(string(text))
+	return err
+}
+
 // PolicyNames returns every mechanism name ParsePolicy accepts, for
 // error messages and usage strings.
 func PolicyNames() string {

@@ -101,12 +101,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "decode body: %v", err)
 		return
 	}
-	if err := validate(spec); err != nil {
-		s.met.rejectedBadRequest.Add(1)
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	est, err := estimateRuns(spec)
+	est, err := admit(spec)
 	if err != nil {
 		s.met.rejectedBadRequest.Add(1)
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
@@ -251,8 +246,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResults serves a finished job's tables: by default the exact
-// byte stream `recnsweep` prints for the same spec (the API-vs-CLI
-// byte-identity contract), or structured JSON with ?format=json.
+// byte stream experiments.FprintTables renders for the same spec through
+// the library (the API-vs-library byte-identity contract; recnsim adds
+// a blank line after each table), or structured JSON with ?format=json.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.lookup(id)
@@ -320,7 +316,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRunLookup serves a single cached run report by its spec hash
-// (the 16-hex-digit content address `recnsweep -cache` files use), so
+// (the 16-hex-digit content address `recnsim -cache` files use), so
 // clients can fetch raw per-run data without resubmitting a sweep.
 func (s *Server) handleRunLookup(w http.ResponseWriter, r *http.Request) {
 	if s.cache == nil {

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fabric"
 	"repro/internal/trace"
 )
 
@@ -92,36 +92,14 @@ func (c Config) withDefaults() Config {
 }
 
 // SweepRequest is the POST /v1/sweeps submission body: which
-// experiments to reproduce and under which options (mirroring
-// recnsweep's flags, so the same spec runs identically through either
-// entry point).
+// experiments to reproduce, under the option set recnsim's flags bind
+// (experiments.Options, embedded so its JSON fields are the request's),
+// so the same spec runs identically through either entry point.
 type SweepRequest struct {
 	// Figures lists experiment IDs (see GET /v1/figures or
-	// `recnsweep -list`): "2a", "3b", "a1", "lat1", ...
+	// `recnsim -list`): "2a", "3b", "a1", "lat1", ...
 	Figures []string `json:"figures"`
-	// Scale compresses simulated time; 1.0 = paper durations.
-	Scale float64 `json:"scale,omitempty"`
-	// PacketSize in bytes (default 64).
-	PacketSize int `json:"packet_size,omitempty"`
-	// MaxRows caps printed table rows (default 40).
-	MaxRows int `json:"max_rows,omitempty"`
-	// Policies optionally overrides the mechanism list ("RECN", "1Q", ...).
-	Policies []string `json:"policies,omitempty"`
-	// FaultSpec injects faults into every run (fault.ParsePlan syntax).
-	FaultSpec string `json:"fault_spec,omitempty"`
-	// ThrottleSpec / ARNSpec override the throttle and arn policy
-	// tunables (throttle.ParseSpec / fabric.ParseARNSpec syntax).
-	ThrottleSpec string `json:"throttle_spec,omitempty"`
-	ARNSpec      string `json:"arn_spec,omitempty"`
-	// Topo selects the network topology where the figure allows it
-	// ("min", "fattree", "mesh"; default per figure).
-	Topo string `json:"topo,omitempty"`
-	// Shards runs each simulation on the windowed multi-core runtime.
-	Shards int `json:"shards,omitempty"`
-	// Check enables the runtime invariant checker on every run.
-	Check bool `json:"check,omitempty"`
-	// NoCache bypasses the run cache for this job.
-	NoCache bool `json:"no_cache,omitempty"`
+	experiments.Options
 	// Trace attaches a flight recorder to every run; the recorders are
 	// then streamable as Perfetto JSON via /v1/sweeps/{id}/trace/{name}.
 	Trace bool `json:"trace,omitempty"`
@@ -188,6 +166,7 @@ type Server struct {
 	cond   *sync.Cond // broadcast on every job event append
 	jobs   map[string]*job
 	order  []string // submission order, for listing
+	done   []string // terminal jobs in finish order, at most maxFinishedJobs
 	nextID uint64
 
 	stopping atomic.Bool
@@ -313,8 +292,15 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
-// finishLocked moves a job to a terminal state and emits the terminal
-// event. Caller holds s.mu.
+// maxFinishedJobs bounds how many terminal jobs stay queryable: a
+// finished job keeps its tables, traces and event log, so without a
+// bound a long-lived daemon grows by every job it ever ran.
+const maxFinishedJobs = 1024
+
+// finishLocked moves a job to a terminal state, emits the terminal
+// event and forgets the job that finished longest ago once more than
+// maxFinishedJobs are retained (its ID then answers 404). Caller holds
+// s.mu.
 func (s *Server) finishLocked(j *job, state jobState, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
@@ -332,34 +318,24 @@ func (s *Server) finishLocked(j *job, state jobState, errMsg string) {
 	}
 	s.appendEventLocked(j, string(state), data)
 	s.cfg.Logf("job %s %s", j.id, state)
+	s.done = append(s.done, j.id)
+	if len(s.done) > maxFinishedJobs {
+		old := s.done[0]
+		s.done = s.done[1:]
+		delete(s.jobs, old)
+		if i := slices.Index(s.order, old); i >= 0 {
+			s.order = slices.Delete(s.order, i, i+1)
+		}
+	}
 }
 
 // execute reproduces every figure of the spec through the sweep engine,
 // streaming per-run and per-figure completion events.
 func (s *Server) execute(ctx context.Context, j *job, spec SweepRequest) ([]*experiments.Table, []namedTrace, error) {
-	o := experiments.Options{
-		Scale:        spec.Scale,
-		PacketSize:   spec.PacketSize,
-		MaxRows:      spec.MaxRows,
-		FaultSpec:    spec.FaultSpec,
-		ThrottleSpec: spec.ThrottleSpec,
-		ARNSpec:      spec.ARNSpec,
-		Topo:         spec.Topo,
-		Shards:       spec.Shards,
-		Check:        spec.Check,
-		Parallelism:  s.cfg.Parallelism,
-		Context:      ctx,
-	}
-	if !spec.NoCache {
-		o.Cache = s.cache
-	}
-	for _, name := range spec.Policies { // validated at admission
-		p, err := fabric.ParsePolicy(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		o.Policies = append(o.Policies, p)
-	}
+	o := spec.Options
+	o.Parallelism = s.cfg.Parallelism
+	o.Context = ctx
+	o.Cache = s.cache
 	o.OnRunDone = func(i int, r experiments.Run, res *experiments.Result, cached bool) {
 		s.met.runsDone.Add(1)
 		if cached {
@@ -397,15 +373,19 @@ func (s *Server) execute(ctx context.Context, j *job, spec SweepRequest) ([]*exp
 	return all, traces, nil
 }
 
-// estimateRuns sizes a submission for admission control: the summed
+// admit checks a submission (experiments.Options.Validate holds every
+// option check) and sizes it for admission control: the summed
 // per-figure simulation counts under default options.
-func estimateRuns(spec SweepRequest) (int, error) {
+func admit(spec SweepRequest) (int, error) {
+	if len(spec.Figures) == 0 {
+		return 0, &experiments.OptionError{Field: "figures", Err: errors.New(`empty (want experiment IDs like "2a")`)}
+	}
+	if err := spec.Validate(spec.Figures...); err != nil {
+		return 0, err
+	}
 	total := 0
 	for _, id := range spec.Figures {
-		n, ok := experiments.EstimatedRuns(id)
-		if !ok {
-			return 0, fmt.Errorf("unknown figure %q", id)
-		}
+		n, _ := experiments.EstimatedRuns(id)
 		if len(spec.Policies) > 0 && n > 1 {
 			// A policy override replaces the default mechanism list on
 			// the multi-policy figures.
@@ -414,39 +394,6 @@ func estimateRuns(spec SweepRequest) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// validate rejects a malformed submission before admission control.
-func validate(spec SweepRequest) error {
-	if len(spec.Figures) == 0 {
-		return fmt.Errorf("figures: empty (want experiment IDs like %q)", "2a")
-	}
-	for _, id := range spec.Figures {
-		if !experiments.KnownFigure(id) {
-			return fmt.Errorf("figures: unknown %q (have %s)", id, strings.Join(experiments.FigureIDs(), ", "))
-		}
-		if spec.Shards > 0 && strings.HasPrefix(strings.ToLower(id), "lat") {
-			return fmt.Errorf("figures: %s needs the serial per-packet Observe path and cannot run with shards=%d", id, spec.Shards)
-		}
-	}
-	for _, name := range spec.Policies {
-		if _, err := fabric.ParsePolicy(name); err != nil {
-			return fmt.Errorf("policies: %w", err)
-		}
-	}
-	if _, err := experiments.ValidatePolicyOptions(nil, spec.ThrottleSpec, spec.ARNSpec); err != nil {
-		return err
-	}
-	if !experiments.ValidTopology(spec.Topo) {
-		return fmt.Errorf("topo: unknown %q (valid: %s)", spec.Topo, experiments.TopologyNames())
-	}
-	if spec.Scale < 0 {
-		return fmt.Errorf("scale: negative (%g)", spec.Scale)
-	}
-	if spec.Shards < 0 {
-		return fmt.Errorf("shards: negative (%d)", spec.Shards)
-	}
-	return nil
 }
 
 // persistedState is the queue-state file a graceful shutdown writes:
@@ -513,11 +460,11 @@ func (s *Server) restoreQueue() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, pj := range st.Jobs {
-		if err := validate(pj.Spec); err != nil {
+		est, err := admit(pj.Spec)
+		if err != nil {
 			s.cfg.Logf("dropping persisted job %s: %v", pj.ID, err)
 			continue
 		}
-		est, _ := estimateRuns(pj.Spec)
 		j := &job{
 			id:      pj.ID,
 			spec:    pj.Spec,
@@ -588,7 +535,13 @@ func Run(ctx context.Context, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: s.cfg.Addr, Handler: s.Handler()}
+	// No WriteTimeout: the SSE event tails are long-lived responses.
+	hs := &http.Server{
+		Addr:              s.cfg.Addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	s.cfg.Logf("recnserved listening on %s (queue-cap %d, workers %d, max-runs %d, cache %q)",

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/fabric"
 )
 
 // stubRunner is a controllable stand-in for experiments.Reproduce: it
@@ -193,16 +194,19 @@ func TestAdmissionOversizedRequestRejection(t *testing.T) {
 func TestAdmissionBadRequests(t *testing.T) {
 	stub := newStubRunner()
 	_, ts := newTestServer(t, Config{reproduce: stub.run})
-	for _, tc := range []struct{ name, body string }{
-		{"empty figures", `{"figures":[]}`},
-		{"unknown figure", `{"figures":["9z"]}`},
-		{"unknown field", `{"figs":["2a"]}`},
-		{"shards with latency figure", `{"figures":["lat1"],"shards":2}`},
-		{"bad policy", `{"figures":["2a"],"policies":["QQQ"]}`},
-		{"negative scale", `{"figures":["2a"],"scale":-1}`},
-		{"bad throttle key", `{"figures":["shootout"],"throttle_spec":"bogus=1"}`},
-		{"throttle rate out of range", `{"figures":["shootout"],"throttle_spec":"min=2000"}`},
-		{"arn inverted hysteresis", `{"figures":["shootout"],"arn_spec":"on=1024,off=4096"}`},
+	for _, tc := range []struct{ name, body, names string }{
+		{"empty figures", `{"figures":[]}`, "figures"},
+		{"unknown figure", `{"figures":["9z"]}`, "figures"},
+		{"unknown field", `{"figs":["2a"]}`, "figs"},
+		{"daemon-owned option", `{"figures":["2a"],"parallelism":8}`, "parallelism"},
+		{"daemon-owned path", `{"figures":["2a"],"cache_dir":"/x"}`, "cache_dir"},
+		{"shards with latency figure", `{"figures":["lat1"],"shards":2}`, "shards"},
+		{"bad policy", `{"figures":["2a"],"policies":["QQQ"]}`, "QQQ"},
+		{"negative scale", `{"figures":["2a"],"scale":-1}`, "scale"},
+		{"bad throttle key", `{"figures":["shootout"],"throttle_spec":"bogus=1"}`, "throttle_spec"},
+		{"throttle rate out of range", `{"figures":["shootout"],"throttle_spec":"min=2000"}`, "throttle_spec"},
+		{"arn inverted hysteresis", `{"figures":["shootout"],"arn_spec":"on=1024,off=4096"}`, "arn_spec"},
+		{"malformed fault spec", `{"figures":["2a"],"fault_spec":"drop=nonsense"}`, "fault_spec"},
 	} {
 		code, body := submit(t, ts, tc.body)
 		if code != http.StatusBadRequest {
@@ -212,10 +216,109 @@ func TestAdmissionBadRequests(t *testing.T) {
 		if got := errorCode(t, body); got != "bad_request" {
 			t.Errorf("%s: error code %q, want bad_request", tc.name, got)
 		}
+		if msg := body["error"].(map[string]any)["message"].(string); !strings.Contains(msg, tc.names) {
+			t.Errorf("%s: message %q does not name %q", tc.name, msg, tc.names)
+		}
 	}
 	if len(stub.ran()) != 0 {
 		t.Error("a rejected job executed")
 	}
+	// A well-formed fault spec with a derived seed is still admitted.
+	if code, body := submit(t, ts, `{"figures":["2a"],"fault_spec":"seed=auto,droprate=credit:0.01"}`); code != http.StatusAccepted {
+		t.Errorf("seed=auto fault spec: got %d %v, want 202", code, body)
+	}
+}
+
+// The request body's field names are the wire contract (clients, the
+// spec echo in job status and the persisted queue file all carry them):
+// a fully populated request marshals to exactly these 13 names in this
+// order, and round-trips.
+func TestSweepRequestWireFormat(t *testing.T) {
+	const golden = `{"figures":["2a","lat1"],"scale":0.5,"packet_size":512,"max_rows":7,"policies":["RECN","1Q"],` +
+		`"fault_spec":"seed=auto,droprate=credit:0.01","throttle_spec":"mark=8192","arn_spec":"on=8192,off=2048",` +
+		`"topo":"fattree","shards":2,"check":true,"no_cache":true,"trace":true}`
+	req := SweepRequest{
+		Figures: []string{"2a", "lat1"},
+		Options: experiments.Options{
+			Scale: 0.5, PacketSize: 512, MaxRows: 7,
+			Policies:  []fabric.Policy{fabric.PolicyRECN, fabric.Policy1Q},
+			FaultSpec: "seed=auto,droprate=credit:0.01", ThrottleSpec: "mark=8192", ARNSpec: "on=8192,off=2048",
+			Topo: "fattree", Shards: 2, Check: true, NoCache: true,
+			// What the daemon owns never reaches the wire.
+			Parallelism: 8, CacheDir: "/x", Context: context.Background(),
+			OnRunDone: func(int, experiments.Run, *experiments.Result, bool) {},
+		},
+		Trace: true,
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != golden {
+		t.Errorf("marshaled request:\n%s\nwant:\n%s", raw, golden)
+	}
+	var back SweepRequest
+	if err := json.Unmarshal([]byte(golden), &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != golden {
+		t.Errorf("round trip:\n%s\nwant:\n%s", again, golden)
+	}
+	if raw, _ := json.Marshal(SweepRequest{Figures: []string{"2b"}, Options: experiments.Options{Scale: 0.05}}); string(raw) != `{"figures":["2b"],"scale":0.05}` {
+		t.Errorf("sparse request marshals to %s", raw)
+	}
+}
+
+// Finished jobs are bounded: past maxFinishedJobs the job that finished
+// longest ago is forgotten (404), while the newest finished job and any
+// job still queued or running stay, in submission order.
+func TestFinishedJobsAreBounded(t *testing.T) {
+	stub := newStubRunner()
+	stub.gate("2b")
+	s, ts := newTestServer(t, Config{QueueCap: 8, reproduce: stub.run})
+	const extra = 5
+	var ids []string
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		code, body := submit(t, ts, `{"figures":["table1"]}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %v", i, code, body)
+		}
+		ids = append(ids, body["id"].(string))
+		waitState(t, ts, ids[i], "done")
+	}
+	// One running and one queued job behind the finished ones.
+	_, body := submit(t, ts, `{"figures":["2b"]}`)
+	running := body["id"].(string)
+	waitState(t, ts, running, "running")
+	_, body = submit(t, ts, `{"figures":["2a"]}`)
+	queued := body["id"].(string)
+
+	s.mu.Lock()
+	jobs, order := len(s.jobs), append([]string(nil), s.order...)
+	s.mu.Unlock()
+	want := append(append([]string(nil), ids[extra:]...), running, queued)
+	if jobs != len(want) || !equalStrings(order, want) {
+		t.Errorf("%d jobs retained, order %v...; want the %d newest in submission order", jobs, order[:3], len(want))
+	}
+	for _, id := range ids[:extra] {
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted job %s: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	if st := getStatus(t, ts, ids[len(ids)-1]); st["state"] != "done" {
+		t.Errorf("newest finished job: %v", st)
+	}
+	stub.release("2b")
+	waitState(t, ts, queued, "done")
 }
 
 // Queued jobs must start in submission (FIFO) order.
@@ -402,7 +505,7 @@ func TestResultsNotReadyAndMetrics(t *testing.T) {
 }
 
 // The results endpoint's default text format is the exact byte stream
-// recnsweep prints for the same tables.
+// experiments.FprintTables renders for the same tables.
 func TestResultsTextMatchesCLIFormat(t *testing.T) {
 	stub := newStubRunner()
 	_, ts := newTestServer(t, Config{reproduce: stub.run})
@@ -423,7 +526,7 @@ func TestResultsTextMatchesCLIFormat(t *testing.T) {
 	var want bytes.Buffer
 	experiments.FprintTables(&want, tables)
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("results bytes:\n%q\nwant recnsweep's stream:\n%q", got, want.Bytes())
+		t.Errorf("results bytes:\n%q\nwant FprintTables' stream:\n%q", got, want.Bytes())
 	}
 }
 

@@ -61,8 +61,13 @@ type (
 	FatTree = topology.FatTree
 	// Time is simulation time in picoseconds.
 	Time = sim.Time
-	// Options tune figure reproduction runs.
+	// Options is the option set of figure reproduction runs: the one
+	// declaration recnsim's flags and the sweep daemon's request body
+	// share (Options.Validate checks it up front).
 	Options = experiments.Options
+	// OptionError is the typed rejection Options.Validate returns; Field
+	// is the option's JSON name.
+	OptionError = experiments.OptionError
 	// Table is an aligned text table of reproduced series.
 	Table = experiments.Table
 	// Result carries the measurements of a single run.
@@ -163,8 +168,8 @@ func SweepContext(ctx context.Context, runs []Run, o Options) ([]*Result, error)
 var ErrCanceled = experiments.ErrCanceled
 
 // FprintTables writes tables back-to-back with no separator — the
-// exact byte stream recnsweep prints and the daemon's text results
-// endpoint serves.
+// exact byte stream the daemon's text results endpoint serves (recnsim
+// prints the same tables with a blank line after each).
 func FprintTables(w io.Writer, tables []*Table) { experiments.FprintTables(w, tables) }
 
 // OpenRunCache opens (creating if necessary) a run-result cache
@@ -285,13 +290,6 @@ var Policies = fabric.Policies
 // ParsePolicy converts a mechanism name ("RECN", "1Q", …) to a Policy.
 func ParsePolicy(s string) (Policy, error) { return fabric.ParsePolicy(s) }
 
-// ValidatePolicyOptions resolves policy names and validates the
-// throttle / arn tunable specs up front, so callers fail fast on a bad
-// request instead of partway through a sweep.
-func ValidatePolicyOptions(names []string, throttleSpec, arnSpec string) ([]Policy, error) {
-	return experiments.ValidatePolicyOptions(names, throttleSpec, arnSpec)
-}
-
 // NewTopology builds the paper's network for 64, 256 or 512 hosts (or
 // any power of 4).
 func NewTopology(hosts int) (*Topology, error) { return topology.ForHosts(hosts) }
@@ -309,10 +307,6 @@ func BuildTopology(name string, hosts int) (fabric.Topology, error) {
 
 // TopologyNames lists every name BuildTopology accepts.
 func TopologyNames() string { return experiments.TopologyNames() }
-
-// ValidTopology reports whether BuildTopology accepts the name (host
-// count constraints aside); CLIs use it to reject -topo up front.
-func ValidTopology(name string) bool { return experiments.ValidTopology(name) }
 
 // NewMesh builds a cols×rows 2D mesh (one host per switch, XY routing).
 // The paper notes RECN works on direct networks too; the same fabric
@@ -455,9 +449,6 @@ func Table1() (*Table, error) { return experiments.Table1() }
 // registry itself lives in internal/experiments so the sweep daemon
 // can run figures by ID; this facade delegates.)
 func FigureIDs() []string { return experiments.FigureIDs() }
-
-// KnownFigure reports whether an ID names a reproducible experiment.
-func KnownFigure(id string) bool { return experiments.KnownFigure(id) }
 
 // SweepSAQs runs the SAQ-count ablation over an explicit list of
 // per-port SAQ counts.
