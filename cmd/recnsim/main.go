@@ -91,7 +91,7 @@ func bindOptions(fs *flag.FlagSet, opts *repro.Options) {
 	fs.StringVar(&opts.ThrottleSpec, "throttle", "", "throttle policy tunables, e.g. 'mark=16384,min=100,dec=500,inc=50,period=5us,delay=500ns,cnp=1us' (defaults apply to omitted keys)")
 	fs.StringVar(&opts.ARNSpec, "arn", "", "arn policy tunables, e.g. 'on=16384,off=4096' (hint hysteresis thresholds in bytes)")
 	fs.StringVar(&opts.Topo, "topo", "", "network topology where the figure allows it: min, fattree, mesh (default per figure; 'list' prints the names and exits)")
-	fs.IntVar(&opts.Shards, "shards", 0, "shard each simulation across this many cores (windowed runtime; output is identical at any value ≥ 1 but differs deterministically from the default serial engine; sharded runs bypass the cache; 0 = serial; not with the latency figures lat1/lat2)")
+	fs.IntVar(&opts.Shards, "shards", 0, "shard each simulation across this many cores (windowed runtime; output is identical at any value ≥ 1 but differs deterministically from the default serial engine, so sharded runs cache under their own key; 0 = serial)")
 	fs.BoolVar(&opts.Check, "check", false, "enable the runtime invariant checker on every run (packet/credit conservation, SAQ lifecycle, deadlock/livelock); a violation aborts with a diagnostics snapshot; checked runs bypass the cache")
 	fs.BoolVar(&opts.NoCache, "no-cache", false, "bypass the run-result cache")
 	fs.IntVar(&opts.Parallelism, "j", runtime.GOMAXPROCS(0), "parallel simulation workers (≥ 1; output is identical at any setting)")

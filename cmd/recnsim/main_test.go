@@ -33,7 +33,7 @@ func TestCheckFlags(t *testing.T) {
 		{name: "bad worker count 0", opts: repro.Options{Parallelism: 0}, figures: []string{"a1"}, says: []string{"-j"}},
 		{name: "bad worker count -8", opts: repro.Options{Parallelism: -8}, figures: []string{"a1"}, says: []string{"-j"}},
 		{name: "unwritable cache dir", opts: repro.Options{Parallelism: 1, CacheDir: filepath.Join(file, "sub")}, figures: []string{"a1"}, says: []string{"-cache"}},
-		{name: "all with shards", opts: repro.Options{Parallelism: 1, Shards: 2}, figures: repro.FigureIDs(), says: []string{"-shards", "lat"}},
+		{name: "all with shards", opts: repro.Options{Parallelism: 1, Shards: 2}, figures: repro.FigureIDs()},
 		{name: "option errors name the flag", opts: repro.Options{Parallelism: 1, FaultSpec: "drop=nonsense"}, figures: []string{"2a"}, says: []string{"-faults"}},
 		{name: "unknown figure", opts: repro.Options{Parallelism: 1}, figures: []string{"9z"}, says: []string{"-fig", "9z"}},
 	} {

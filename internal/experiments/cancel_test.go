@@ -5,14 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -29,14 +26,18 @@ func TestExecuteContextCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// Canceling mid-run interrupts at the next engine chunk: the Observe
-// callback fires inside the simulation, so a cancel from the first
-// delivered packet must be seen well before the horizon.
+// Canceling mid-run interrupts at the next engine chunk: the workload
+// schedules the cancel inside the simulation, a quarter into the
+// horizon, so it must be seen well before the horizon.
 func TestExecuteContextInterruptsMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := smallRun(t)
-	r.Observe = func(now sim.Time, _ *pkt.Packet) { cancel() }
+	install, at := r.Workload, r.Until/4
+	r.Workload = func(n traffic.Network) error {
+		n.Schedule(at, cancel)
+		return install(n)
+	}
 	res, err := r.ExecuteContext(ctx)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -189,18 +190,5 @@ func TestRunCacheConcurrentStoreSameSpec(t *testing.T) {
 	}
 	if want := filepath.Base(cache.path(r)); len(entries) == 1 && entries[0].Name() != want {
 		t.Errorf("cache dir holds %q, want %q", entries[0].Name(), want)
-	}
-}
-
-// Latency figures need the serial per-packet Observe path; asking for
-// shards must fail up front with an explanation, not quietly ignore
-// the flag (its pre-context behavior).
-func TestLatencyFigRejectsShards(t *testing.T) {
-	_, err := LatencyFig(1, Options{Scale: 0.01, Shards: 2})
-	if err == nil {
-		t.Fatal("LatencyFig accepted Shards=2")
-	}
-	if !strings.Contains(err.Error(), "shards") {
-		t.Errorf("error %q does not mention shards", err)
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
-	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // LatencyFig is an extension experiment (not a paper figure): the
@@ -16,14 +13,6 @@ import (
 // distribution into before/during/after the congestion tree.
 func LatencyFig(corner int, o Options) (*Table, error) {
 	o = o.withDefaults()
-	// The latency split needs the serial per-packet Observe path:
-	// sharded deliveries run concurrently on shard goroutines and the
-	// windowed schedule would change the samples. Reject up front
-	// rather than silently ignoring the setting (or failing deep in
-	// the run).
-	if o.Shards > 0 {
-		return nil, fmt.Errorf("experiments: latency figures need the serial per-packet Observe path; run without shards (got Shards=%d)", o.Shards)
-	}
 	policies := o.Policies
 	if policies == nil {
 		policies = []fabric.Policy{fabric.PolicyVOQnet, fabric.Policy1Q, fabric.PolicyRECN}
@@ -39,49 +28,22 @@ func LatencyFig(corner int, o Options) (*Table, error) {
 			"paper intro: without congestion management, latency grows by orders of magnitude",
 		},
 	}
-	windows := []struct {
-		name     string
-		from, to sim.Time
-	}{
-		{"before", 0, o.t(790)},
-		{"during", o.t(800), o.t(980)},
-		{"after", o.t(1100), o.t(1600)},
-	}
-	// One run per policy, fanned across the sweep workers. Each run's
-	// Observe writes only its own window summaries, so the runs stay
-	// independent; the rows render in policy order afterwards. (Shards
-	// was rejected above: Observe needs the serial engine.)
+	names := []string{"before", "during", "after"}
+	windows := []Window{{0, o.t(790)}, {o.t(800), o.t(980)}, {o.t(1100), o.t(1600)}}
 	runs := make([]Run, len(policies))
 	labels := make([]string, len(policies))
-	perPolicy := make([][]*stats.Latency, len(policies))
-	for pi, p := range policies {
-		lats := make([]*stats.Latency, len(windows))
-		for i := range lats {
-			lats[i] = stats.NewLatency()
-		}
-		perPolicy[pi] = lats
-		labels[pi] = p.String()
-		runs[pi] = Run{
-			Hosts:    64,
-			Policy:   p,
-			Workload: workload,
-			Until:    until,
-			Observe: func(now sim.Time, pk *pkt.Packet) {
-				for i, w := range windows {
-					if now >= w.from && now < w.to {
-						lats[i].Add(now - pk.CreatedAt)
-					}
-				}
-			},
-		}
+	for i, p := range policies {
+		labels[i] = p.String()
+		runs[i] = Run{Hosts: 64, Policy: p, Key: cornerKey(corner), Workload: workload, Until: until, LatencyWindows: windows}
 	}
-	if _, err := o.sweep(runs, labels); err != nil {
+	results, err := o.sweep(runs, labels)
+	if err != nil {
 		return nil, err
 	}
 	for pi, p := range policies {
-		for i, w := range windows {
-			l := perPolicy[pi][i]
-			t.AddRow(p.String(), w.name, l.Mean().String(), l.Quantile(0.5).String(),
+		for i, name := range names {
+			l := results[pi].Windows[i]
+			t.AddRow(p.String(), name, l.Mean().String(), l.Quantile(0.5).String(),
 				l.Quantile(0.99).String(), l.Max().String())
 		}
 	}

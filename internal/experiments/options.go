@@ -46,8 +46,8 @@ type Options struct {
 	// Shards runs every simulation on the windowed multi-core runtime
 	// with this many shard engines (see Run.Shards); 0 keeps the serial
 	// engine. Results are bit-identical across shard counts ≥ 1 but
-	// deterministically differ from serial results, and sharded runs
-	// bypass the result cache.
+	// deterministically differ from serial results, so sharded runs
+	// cache under their own key.
 	Shards int `json:"shards,omitempty"`
 	// Check enables the runtime invariant checker on every run (see
 	// Run.Check): audits are pure observers, so figures are identical
@@ -136,12 +136,8 @@ func (o Options) Validate(figures ...string) error {
 		return &OptionError{Field: field, Err: fmt.Errorf(format, args...)}
 	}
 	for _, id := range figures {
-		fig, ok := registry[strings.ToLower(id)]
-		if !ok {
+		if _, ok := registry[strings.ToLower(id)]; !ok {
 			return bad("figures", "unknown %q (have %s)", id, strings.Join(FigureIDs(), ", "))
-		}
-		if o.Shards > 0 && fig.serial {
-			return bad("shards", "%d with %s: the latency figures (lat1/lat2) need the serial per-packet Observe path", o.Shards, id)
 		}
 	}
 	if o.Scale < 0 {

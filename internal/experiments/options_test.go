@@ -28,11 +28,11 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "rejects an unknown figure", figures: []string{"2a", "9z"}, field: "figures", says: `"9z"`},
 		{name: "rejects a negative scale", o: Options{Scale: -1}, field: "scale"},
 		{name: "rejects negative shards", o: Options{Shards: -2}, figures: []string{"a1"}, field: "shards"},
-		{name: "rejects shards with lat1", o: Options{Shards: 2}, figures: []string{"lat1"}, field: "shards", says: "lat"},
-		{name: "rejects shards with lat2", o: Options{Shards: 2}, figures: []string{"lat2"}, field: "shards", says: "lat"},
-		{name: "rejects shards with LAT1", o: Options{Shards: 2}, figures: []string{"LAT1"}, field: "shards", says: "lat"},
-		{name: "rejects shards with lat1 behind other figures", o: Options{Shards: 2}, figures: []string{"2a", "lat1"}, field: "shards", says: "lat1"},
-		{name: "rejects shards with every figure", o: Options{Shards: 2}, figures: FigureIDs(), field: "shards", says: "lat"},
+		{name: "accepts shards with lat1", o: Options{Shards: 2}, figures: []string{"lat1"}},
+		{name: "accepts shards with lat2", o: Options{Shards: 2}, figures: []string{"lat2"}},
+		{name: "accepts shards with LAT1", o: Options{Shards: 2}, figures: []string{"LAT1"}},
+		{name: "accepts shards with lat1 behind other figures", o: Options{Shards: 2}, figures: []string{"2a", "lat1"}},
+		{name: "accepts shards with every figure", o: Options{Shards: 2}, figures: FigureIDs()},
 		{name: "rejects an unknown topology", o: Options{Topo: "hypercube"}, figures: []string{"a1"}, field: "topo", says: "fattree"},
 		{name: "accepts topology min", o: Options{Topo: "min"}},
 		{name: "accepts topology fattree", o: Options{Topo: "fattree"}},

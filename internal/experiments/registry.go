@@ -21,9 +21,6 @@ type figure struct {
 	// options. Options.Policies or custom ablation lists change the real
 	// count, so it is an estimate, not an invariant.
 	runs int
-	// serial marks the figures that cannot run on the sharded runtime:
-	// the latency tables read every delivery through Run.Observe.
-	serial bool
 }
 
 var registry = map[string]figure{
@@ -47,8 +44,8 @@ var registry = map[string]figure{
 	"a2":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationThreshold(o, nil)) }, runs: 5},
 	"a3":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationTokenBoost(o)) }, runs: 2},
 	"a4":        {run: func(o Options) ([]*Table, error) { return oneTable(AblationMarkers(o)) }, runs: 2},
-	"lat1":      {run: func(o Options) ([]*Table, error) { return oneTable(LatencyFig(1, o)) }, runs: 3, serial: true},
-	"lat2":      {run: func(o Options) ([]*Table, error) { return oneTable(LatencyFig(2, o)) }, runs: 3, serial: true},
+	"lat1":      {run: func(o Options) ([]*Table, error) { return oneTable(LatencyFig(1, o)) }, runs: 3},
+	"lat2":      {run: func(o Options) ([]*Table, error) { return oneTable(LatencyFig(2, o)) }, runs: 3},
 	"shootout":  {run: Shootout, runs: 20},
 	"scaling":   {run: func(o Options) ([]*Table, error) { return oneTable(Scaling(4096, o)) }, runs: 4},
 	"scaling1k": {run: func(o Options) ([]*Table, error) { return oneTable(Scaling(1024, o)) }, runs: 4},

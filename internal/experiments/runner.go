@@ -126,9 +126,10 @@ type Run struct {
 	DrainAll bool
 	// Mutate, if set, adjusts the fabric configuration (ablations).
 	Mutate func(*fabric.Config)
-	// Observe, if set, sees every delivered packet (after the built-in
-	// meters).
-	Observe func(now sim.Time, p *pkt.Packet)
+	// LatencyWindows, if set, adds one latency summary per window to the
+	// run's meters (Result.Windows): a packet delivered inside a window
+	// counts there. Declarative like every meter, so it feeds SpecKey.
+	LatencyWindows []Window
 	// Faults, if set, injects the plan's faults into the run (plans are
 	// single-use). Recovery configures the watchdog/repair layer.
 	Faults   *fault.Plan
@@ -159,8 +160,8 @@ type Run struct {
 	// Results are bit-identical across every Shards value ≥ 1 but differ
 	// (deterministically) from the serial Shards == 0 engine, whose event
 	// interleaving windowing does not reproduce; sharded runs are
-	// therefore never mixed with serial runs in one comparison and never
-	// use the result cache. Observe is not supported with Shards set.
+	// therefore never mixed with serial runs in one comparison, and they
+	// cache under their own key (see SpecKey).
 	Shards int
 	// Check attaches the runtime invariant checker (internal/check): the
 	// audits verify packet conservation, flow-control bounds, SAQ/CAM
@@ -190,6 +191,49 @@ type Result struct {
 	Mem *stats.MemReport
 	// Trace is the run's flight recorder (nil when tracing was off).
 	Trace *trace.Recorder
+	// Windows holds one latency summary per Run.LatencyWindows entry.
+	Windows []*stats.Latency
+}
+
+// Window is a half-open span [From, To) of simulated time.
+type Window struct{ From, To sim.Time }
+
+// meters are the measurements one stream of deliveries feeds: a serial
+// run's own, or one shard's, merged into the run's after a windowed run
+// (bin sums and histogram adds commute, so the merge is shard-invariant).
+type meters struct {
+	tp      *stats.Throughput
+	lat     *stats.Latency
+	windows []*stats.Latency
+}
+
+func newMeters(bin sim.Time, windows int) (meters, error) {
+	tp, err := stats.NewThroughput(bin)
+	m := meters{tp: tp, lat: stats.NewLatency(), windows: make([]*stats.Latency, windows)}
+	for i := range m.windows {
+		m.windows[i] = stats.NewLatency()
+	}
+	return m, err
+}
+
+// deliver records one packet delivered at now.
+func (m meters) deliver(now sim.Time, p *pkt.Packet, windows []Window) {
+	m.tp.Add(now, p.Size)
+	d := now - p.CreatedAt
+	m.lat.Add(d)
+	for i, w := range windows {
+		if now >= w.From && now < w.To {
+			m.windows[i].Add(d)
+		}
+	}
+}
+
+func (m meters) merge(o meters) error {
+	m.lat.Merge(o.lat)
+	for i, w := range o.windows {
+		m.windows[i].Merge(w)
+	}
+	return m.tp.Merge(o.tp)
 }
 
 // buildConfig resolves the run's declarative fields into a fabric
@@ -352,15 +396,12 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	if r.Shards > 0 {
-		if r.Observe != nil {
-			return nil, fmt.Errorf("experiments: Observe is not supported on sharded runs (delivery callbacks run concurrently on shard goroutines)")
-		}
 		if _, err := net.Shard(r.Shards); err != nil {
 			return nil, err
 		}
 	}
 
-	tp, err := stats.NewThroughput(r.Bin)
+	m, err := newMeters(r.Bin, len(r.LatencyWindows))
 	if err != nil {
 		return nil, err
 	}
@@ -370,41 +411,22 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 	}
 	res := &Result{
 		Policy:     r.Policy,
-		Throughput: tp,
+		Throughput: m.tp,
 		SAQ:        saq,
-		Latency:    stats.NewLatency(),
+		Latency:    m.lat,
+		Windows:    m.windows,
 	}
-	var shardTP []*stats.Throughput
-	var shardLat []*stats.Latency
-	if k := net.ShardCount(); k > 0 {
-		// Each shard meters its own deliveries on its own goroutine;
-		// the meters merge after the run (bin addition and histogram
-		// addition commute, so the merged result is shard-invariant).
-		shardTP = make([]*stats.Throughput, k)
-		shardLat = make([]*stats.Latency, k)
-		for i := 0; i < k; i++ {
-			stp, err := stats.NewThroughput(r.Bin)
-			if err != nil {
-				return nil, err
-			}
-			lat := stats.NewLatency()
-			shardTP[i], shardLat[i] = stp, lat
-			eng := net.ShardEngine(i)
-			net.SetShardOnDeliver(i, func(p *pkt.Packet) {
-				now := eng.Now()
-				stp.Add(now, p.Size)
-				lat.Add(now - p.CreatedAt)
-			})
+	// Each shard meters its own deliveries on its own goroutine.
+	shards := make([]meters, net.ShardCount())
+	for i := range shards {
+		if shards[i], err = newMeters(r.Bin, len(r.LatencyWindows)); err != nil {
+			return nil, err
 		}
-	} else {
-		net.OnDeliver = func(p *pkt.Packet) {
-			now := net.Engine.Now()
-			res.Throughput.Add(now, p.Size)
-			res.Latency.Add(now - p.CreatedAt)
-			if r.Observe != nil {
-				r.Observe(now, p)
-			}
-		}
+		sm, eng := shards[i], net.ShardEngine(i)
+		net.SetShardOnDeliver(i, func(p *pkt.Packet) { sm.deliver(eng.Now(), p, r.LatencyWindows) })
+	}
+	if len(shards) == 0 {
+		net.OnDeliver = func(p *pkt.Packet) { m.deliver(net.Engine.Now(), p, r.LatencyWindows) }
 	}
 	if r.Policy == fabric.PolicyRECN {
 		period := r.Bin / 4
@@ -437,11 +459,10 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 	if err := adapter.firstInjectErr(); err != nil {
 		return nil, fmt.Errorf("experiments: workload injection: %w", err)
 	}
-	for i := range shardTP {
-		if err := res.Throughput.Merge(shardTP[i]); err != nil {
+	for _, sm := range shards {
+		if err := m.merge(sm); err != nil {
 			return nil, err
 		}
-		res.Latency.Merge(shardLat[i])
 	}
 	res.Injected = net.InjectedPackets
 	res.Delivered = net.DeliveredPackets

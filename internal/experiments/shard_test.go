@@ -5,8 +5,7 @@ package experiments
 // same rendered figure bytes — at every other value, because the
 // mailbox merge keys are shard-count-invariant (see fabric/window.go).
 // The suite also pins the guard rails around the contract: sharded runs
-// are deterministic run-to-run, reject the features windowing cannot
-// support, and never touch the result cache.
+// are deterministic run-to-run and cache under a key of their own.
 
 import (
 	"encoding/json"
@@ -17,8 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
-	"repro/internal/sim"
 )
 
 // shardReport executes one sharded run and returns its report as
@@ -30,11 +27,7 @@ func shardReport(t *testing.T, r Run) string {
 	if err != nil {
 		t.Fatalf("shards=%d: %v", r.Shards, err)
 	}
-	b, err := json.Marshal(res.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return reportJSON(t, res)
 }
 
 // TestShardReportIdentity: the corner-case hotspot workload, drained to
@@ -153,35 +146,77 @@ func TestShardRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardRejectsObserve: per-packet observation callbacks would run
-// concurrently on shard goroutines; the run must refuse up front.
-func TestShardRejectsObserve(t *testing.T) {
-	workload, until, err := CornerWorkload(1, 64, 64, 0.02)
-	if err != nil {
-		t.Fatal(err)
+// TestShardLatencyFigIdentity: the latency windows are meters like any
+// other, so the latency tables run on the windowed runtime and render
+// the same bytes at every shard count.
+func TestShardLatencyFigIdentity(t *testing.T) {
+	o := Options{Scale: 0.02, Policies: []fabric.Policy{fabric.Policy1Q, fabric.PolicyRECN}}
+	base := ""
+	for _, k := range []int{1, 2} {
+		o.Shards = k
+		tab, err := LatencyFig(1, o)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if got := tab.String(); base == "" {
+			base = got
+		} else if got != base {
+			t.Fatalf("lat1 differs between shards=1 and shards=%d:\n%s\nvs\n%s", k, base, got)
+		}
 	}
-	r := Run{
-		Hosts: 64, Policy: fabric.PolicyRECN,
-		Workload: workload, Until: until, Shards: 2,
-		Observe: func(_ sim.Time, _ *pkt.Packet) {},
-	}
-	if _, err := r.Execute(); err == nil || !strings.Contains(err.Error(), "Observe") {
-		t.Fatalf("want Observe rejection, got %v", err)
+	if !strings.Contains(base, "during") {
+		t.Fatalf("lat1 table has no windows:\n%s", base)
 	}
 }
 
-// TestShardedRunsNotCacheable: Shards is absent from SpecKey (a sharded
-// and a serial run of the same spec produce different results), so a
-// sharded run must never store to or load from the result cache.
-func TestShardedRunsNotCacheable(t *testing.T) {
-	r := Run{Hosts: 64, Policy: fabric.PolicyRECN, Key: "k", Until: 1}
-	if !r.cacheable() {
-		t.Fatal("serial keyed run should be cacheable")
+// TestShardedRunsCacheUnderWindowedKey: a sharded run caches under a key
+// of its own — one key for every shard count ≥ 1 (their results are
+// identical), never the serial run's (whose results differ) — and the
+// serial key is unchanged by the marker.
+func TestShardedRunsCacheUnderWindowedKey(t *testing.T) {
+	workload, until, err := CornerWorkload(1, 64, 64, 0.01)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.Shards = 1
-	if r.cacheable() {
-		t.Fatal("sharded run must not be cacheable")
+	serial := Run{Hosts: 64, Policy: fabric.PolicyRECN, Key: "sharded-cache", Workload: workload, Until: until}
+	s1, s2 := serial, serial
+	s1.Shards, s2.Shards = 1, 2
+	if !s1.cacheable() {
+		t.Fatal("sharded keyed run should be cacheable")
 	}
+	if strings.Contains(serial.SpecKey(), "windowed") || s1.SpecKey() != serial.SpecKey()+"|windowed" {
+		t.Fatalf("spec keys: serial %q, sharded %q", serial.SpecKey(), s1.SpecKey())
+	}
+	if s1.SpecKey() != s2.SpecKey() {
+		t.Fatalf("shard counts 1 and 2 key differently: %q vs %q", s1.SpecKey(), s2.SpecKey())
+	}
+	cache, err := OpenRunCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Sweep([]Run{s1}, Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.Load(serial); ok {
+		t.Fatal("a sharded result was served to the serial spec")
+	}
+	cached, ok := cache.Load(s2)
+	if !ok {
+		t.Fatal("the shards=1 entry was not served to shards=2")
+	}
+	if a, b := reportJSON(t, fresh[0]), reportJSON(t, cached); a != b {
+		t.Fatal("cached sharded report differs from the fresh one")
+	}
+}
+
+func reportJSON(t *testing.T, res *Result) string {
+	t.Helper()
+	b, err := json.Marshal(res.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestSweepStoreFailureSurfaced: a result that simulates correctly but

@@ -54,6 +54,15 @@ func (r Run) SpecKey() string {
 	if r.Topo != "" {
 		k += "|topo=" + r.Topo
 	}
+	// So do the latency windows, and the windowed runtime: its results
+	// are identical at every shard count ≥ 1 but differ from the serial
+	// engine's, so one marker for all counts keeps the two apart.
+	for _, w := range r.LatencyWindows {
+		k += fmt.Sprintf("|lat=%d:%d", int64(w.From), int64(w.To))
+	}
+	if r.Shards > 0 {
+		k += "|windowed"
+	}
 	return k
 }
 
@@ -75,27 +84,18 @@ func (r Run) DerivedSeed() int64 {
 
 // cacheable reports whether the run's result may be stored in and
 // loaded from the result cache. Runs carrying live objects that cannot
-// be replayed from the spec — an Observe callback, a flight recorder,
-// a pre-built (single-use) fault plan — or closures not named by Key
-// must always simulate. Checked runs also always simulate: serving a
-// cached result would silently skip the invariant audits the caller
-// asked for (Check is deliberately absent from SpecKey — audits don't
-// change results, so a checked run may still *store* nothing but must
-// never shadow an unchecked entry either way).
+// be replayed from the spec — a flight recorder, a pre-built
+// (single-use) fault plan — or closures not named by Key must always
+// simulate. Checked runs also always simulate: serving a cached result
+// would silently skip the invariant audits the caller asked for (Check
+// is deliberately absent from SpecKey — audits don't change results, so
+// a checked run may still *store* nothing but must never shadow an
+// unchecked entry either way).
 func (r Run) cacheable() bool {
-	if r.Observe != nil || r.Trace != nil || r.Faults != nil || r.Check {
+	if r.Trace != nil || r.Faults != nil || r.Check {
 		return false
 	}
-	// Sharded runs never touch the cache: their results differ from the
-	// serial engine's (deterministically), and Shards is absent from
-	// SpecKey, so storing either variant would let it shadow the other.
-	if r.Shards > 0 {
-		return false
-	}
-	if (r.Workload != nil || r.Mutate != nil) && r.Key == "" {
-		return false
-	}
-	return true
+	return r.Key != "" || (r.Workload == nil && r.Mutate == nil)
 }
 
 // cacheVersion invalidates every cache entry written by previous
@@ -242,7 +242,7 @@ func (c *RunCache) load(r Run) (*Result, bool) {
 		return nil, false
 	}
 	var rep stats.Report
-	if err := json.Unmarshal(entry.Report, &rep); err != nil {
+	if err := json.Unmarshal(entry.Report, &rep); err != nil || len(rep.Windows) != len(r.LatencyWindows) {
 		return nil, false
 	}
 	res, err := ResultFromReport(r.Policy, rep)
@@ -324,6 +324,9 @@ func (res *Result) Report() stats.Report {
 		OrderViolations: res.OrderViolations,
 		Events:          res.Events,
 	}
+	for _, w := range res.Windows {
+		rep.Windows = append(rep.Windows, w.Dump())
+	}
 	if res.Faults != nil {
 		f := *res.Faults
 		rep.Faults = &f
@@ -354,6 +357,9 @@ func ResultFromReport(policy fabric.Policy, rep stats.Report) (*Result, error) {
 		Delivered:       rep.Delivered,
 		OrderViolations: rep.OrderViolations,
 		Events:          rep.Events,
+	}
+	for _, w := range rep.Windows {
+		res.Windows = append(res.Windows, w.Restore())
 	}
 	if rep.Faults != nil {
 		f := *rep.Faults

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -54,6 +53,8 @@ func TestSpecHashStability(t *testing.T) {
 		"DrainAll":   func(r *Run) { r.DrainAll = true },
 		"FaultSpec":  func(r *Run) { r.FaultSpec = "seed=3,drop=token:1" },
 		"Recovery":   func(r *Run) { r.Recovery.Enabled = true },
+		"Windows":    func(r *Run) { r.LatencyWindows = []Window{{0, r.Until}} },
+		"Shards":     func(r *Run) { r.Shards = 2 },
 	}
 	for name, mutate := range mutations {
 		q := r
@@ -243,8 +244,8 @@ func TestCacheMissesOnSpecChange(t *testing.T) {
 	}
 }
 
-// Uncacheable runs — live fault plans, Observe callbacks, tracing,
-// closures with no Key — are never stored or served.
+// Uncacheable runs — live fault plans, tracing, closures with no Key —
+// are never stored or served.
 func TestCacheSkipsUncacheableRuns(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenRunCache(dir)
@@ -257,8 +258,7 @@ func TestCacheSkipsUncacheableRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Run){
-		"no key":  func(r *Run) { r.Key = "" },
-		"observe": func(r *Run) { r.Observe = func(sim.Time, *pkt.Packet) {} },
+		"no key": func(r *Run) { r.Key = "" },
 	} {
 		q := base
 		mutate(&q)
@@ -268,6 +268,32 @@ func TestCacheSkipsUncacheableRuns(t *testing.T) {
 		if _, ok := cache.Load(q); ok {
 			t.Errorf("uncacheable run (%s) served from cache", name)
 		}
+	}
+}
+
+// The latency tables cache like every other figure: reproducing one a
+// second time on the same cache simulates nothing and renders the same
+// bytes.
+func TestLatencyFigServedFromCache(t *testing.T) {
+	var sums []CacheSummary
+	o := Options{
+		Scale:          0.02,
+		CacheDir:       t.TempDir(),
+		OnCacheSummary: func(s CacheSummary) { sums = append(sums, s) },
+	}
+	first, err := Reproduce("lat1", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Reproduce("lat1", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RenderTables(first) != RenderTables(second) {
+		t.Errorf("cached lat1 differs:\n%s\nvs\n%s", RenderTables(first), RenderTables(second))
+	}
+	if len(sums) != 2 || sums[0].Misses != 3 || sums[1].Misses != 0 || sums[1].Hits != 3 {
+		t.Errorf("cache summaries %+v, want 3 misses then 3 hits", sums)
 	}
 }
 

@@ -200,7 +200,6 @@ func TestAdmissionBadRequests(t *testing.T) {
 		{"unknown field", `{"figs":["2a"]}`, "figs"},
 		{"daemon-owned option", `{"figures":["2a"],"parallelism":8}`, "parallelism"},
 		{"daemon-owned path", `{"figures":["2a"],"cache_dir":"/x"}`, "cache_dir"},
-		{"shards with latency figure", `{"figures":["lat1"],"shards":2}`, "shards"},
 		{"bad policy", `{"figures":["2a"],"policies":["QQQ"]}`, "QQQ"},
 		{"negative scale", `{"figures":["2a"],"scale":-1}`, "scale"},
 		{"bad throttle key", `{"figures":["shootout"],"throttle_spec":"bogus=1"}`, "throttle_spec"},
@@ -223,9 +222,15 @@ func TestAdmissionBadRequests(t *testing.T) {
 	if len(stub.ran()) != 0 {
 		t.Error("a rejected job executed")
 	}
-	// A well-formed fault spec with a derived seed is still admitted.
-	if code, body := submit(t, ts, `{"figures":["2a"],"fault_spec":"seed=auto,droprate=credit:0.01"}`); code != http.StatusAccepted {
-		t.Errorf("seed=auto fault spec: got %d %v, want 202", code, body)
+	// A well-formed fault spec with a derived seed is still admitted, and
+	// so are the latency figures on the windowed runtime.
+	for _, body := range []string{
+		`{"figures":["2a"],"fault_spec":"seed=auto,droprate=credit:0.01"}`,
+		`{"figures":["lat1"],"shards":2}`,
+	} {
+		if code, resp := submit(t, ts, body); code != http.StatusAccepted {
+			t.Errorf("%s: got %d %v, want 202", body, code, resp)
+		}
 	}
 }
 

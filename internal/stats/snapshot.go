@@ -117,7 +117,8 @@ func (s *SAQSeries) Merge(o *SAQSeries) error {
 	return nil
 }
 
-// LatencyDump is the serializable form of a Latency summary.
+// LatencyDump is the serializable form of a Latency summary: only the
+// occupied buckets, keyed by index.
 type LatencyDump struct {
 	Count   uint64
 	Sum     float64
@@ -127,21 +128,22 @@ type LatencyDump struct {
 
 // Dump snapshots the summary.
 func (l *Latency) Dump() LatencyDump {
-	buckets := make(map[int]uint64, len(l.buckets))
-	for k, v := range l.buckets {
-		buckets[k] = v
+	buckets := make(map[int]uint64)
+	for k, v := range &l.buckets {
+		if v > 0 {
+			buckets[k] = v
+		}
 	}
 	return LatencyDump{Count: l.count, Sum: l.sum, Max: l.max, Buckets: buckets}
 }
 
-// Restore rebuilds a summary from a dump.
+// Restore rebuilds a summary from a dump. An index outside the
+// histogram, which only a hand-edited dump holds, lands in the nearest
+// end bucket.
 func (d LatencyDump) Restore() *Latency {
-	l := NewLatency()
-	l.count = d.Count
-	l.sum = d.Sum
-	l.max = d.Max
+	l := &Latency{count: d.Count, sum: d.Sum, max: d.Max}
 	for k, v := range d.Buckets {
-		l.buckets[k] = v
+		l.buckets[min(max(k, 0), latencyBuckets-1)] += v
 	}
 	return l
 }
@@ -158,7 +160,7 @@ func (l *Latency) Merge(o *Latency) {
 	if o.max > l.max {
 		l.max = o.max
 	}
-	for k, v := range o.buckets {
+	for k, v := range &o.buckets {
 		l.buckets[k] += v
 	}
 }
@@ -171,6 +173,10 @@ type Report struct {
 	Throughput ThroughputDump
 	SAQ        SAQDump
 	Latency    LatencyDump
+	// Windows holds one latency summary per declared latency window
+	// (experiments.Run.LatencyWindows); absent when a run declared none,
+	// so every other report keeps its encoding.
+	Windows []LatencyDump `json:",omitempty"`
 
 	Injected        uint64
 	Delivered       uint64
@@ -221,6 +227,14 @@ func (r *Report) Merge(o *Report) error {
 	lat := r.Latency.Restore()
 	lat.Merge(o.Latency.Restore())
 	r.Latency = lat.Dump()
+	for i, w := range o.Windows {
+		if i == len(r.Windows) {
+			r.Windows = append(r.Windows, LatencyDump{})
+		}
+		lat := r.Windows[i].Restore()
+		lat.Merge(w.Restore())
+		r.Windows[i] = lat.Dump()
+	}
 
 	r.Injected += o.Injected
 	r.Delivered += o.Delivered

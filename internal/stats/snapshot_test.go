@@ -162,6 +162,8 @@ func TestReportMerge(t *testing.T) {
 	}
 	a, b := mk(100, 4), mk(50, 9)
 	b.Faults = &FaultReport{LinkDowns: 1}
+	a.Windows = []LatencyDump{a.Latency}
+	b.Windows = []LatencyDump{b.Latency, b.Latency}
 	if err := a.Merge(&b); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +186,9 @@ func TestReportMerge(t *testing.T) {
 	}
 	if a.Latency.Restore().Count() != 2 {
 		t.Fatal("merged latency count")
+	}
+	if len(a.Windows) != 2 || a.Windows[0].Restore().Count() != 2 || a.Windows[1].Restore().Count() != 1 {
+		t.Fatalf("merged latency windows: %+v", a.Windows)
 	}
 	if a.Faults == nil || a.Faults.LinkDowns != 1 {
 		t.Fatalf("merged faults: %+v", a.Faults)

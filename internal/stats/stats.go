@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -225,20 +224,25 @@ func (s *SAQSeries) Peak() SAQSample {
 
 // Latency summarizes packet latencies with logarithmic buckets: exact
 // count/mean/max plus approximate quantiles (16 sub-buckets per octave
-// keeps the relative quantile error under ~5%).
+// keeps the relative quantile error under ~5%). The histogram is a
+// fixed array covering every positive sim.Time, so Add neither hashes
+// nor allocates.
 type Latency struct {
 	count   uint64
 	sum     float64
 	max     sim.Time
-	buckets map[int]uint64
+	buckets [latencyBuckets]uint64
 }
 
 // NewLatency creates an empty summary.
-func NewLatency() *Latency {
-	return &Latency{buckets: make(map[int]uint64)}
-}
+func NewLatency() *Latency { return &Latency{} }
 
-const latencySubBuckets = 16
+const (
+	latencySubBuckets = 16
+	// latencyBuckets spans log2 of the largest sim.Time: 63 octaves, plus
+	// the 64th that float64 rounding of MaxInt64 up to 2^63 reaches.
+	latencyBuckets = 64 * latencySubBuckets
+)
 
 // bucketOf maps a latency to a log-scale bucket index.
 func bucketOf(d sim.Time) int {
@@ -248,9 +252,10 @@ func bucketOf(d sim.Time) int {
 	return int(math.Floor(math.Log2(float64(d)) * latencySubBuckets))
 }
 
-// bucketValue returns a representative latency for a bucket.
-func bucketValue(b int) sim.Time {
-	return sim.Time(math.Exp2(float64(b)/latencySubBuckets) * 1.022) // mid-bucket
+// bucketValue returns a representative latency for a bucket, in float64:
+// the top buckets' values exceed the largest sim.Time.
+func bucketValue(b int) float64 {
+	return math.Exp2(float64(b)/latencySubBuckets) * 1.022 // mid-bucket
 }
 
 // Add records one latency observation.
@@ -288,21 +293,15 @@ func (l *Latency) Quantile(q float64) sim.Time {
 	if q > 1 {
 		q = 1
 	}
-	keys := make([]int, 0, len(l.buckets))
-	for k := range l.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	target := uint64(math.Ceil(q * float64(l.count)))
 	var seen uint64
-	for _, k := range keys {
-		seen += l.buckets[k]
+	for k, n := range &l.buckets {
+		seen += n
 		if seen >= target {
-			v := bucketValue(k)
-			if v > l.max {
-				v = l.max
+			if v := bucketValue(k); v < float64(l.max) {
+				return sim.Time(v)
 			}
-			return v
+			return l.max
 		}
 	}
 	return l.max

@@ -170,6 +170,26 @@ func TestLatencyQuantileAccuracy(t *testing.T) {
 	}
 }
 
+// The histogram covers every sim.Time, and its dump holds only the
+// occupied buckets; an index outside it (a hand-edited dump) restores
+// into the nearest end bucket instead of panicking.
+func TestLatencyFullRange(t *testing.T) {
+	l := NewLatency()
+	l.Add(1)
+	l.Add(math.MaxInt64)
+	if l.Quantile(1) != math.MaxInt64 || l.Quantile(0.5) > 2 {
+		t.Errorf("quantiles %v / %v over {1, MaxInt64}", l.Quantile(0.5), l.Quantile(1))
+	}
+	d := l.Dump()
+	if len(d.Buckets) != 2 {
+		t.Errorf("dump holds %d buckets, want the 2 occupied ones", len(d.Buckets))
+	}
+	d.Buckets = map[int]uint64{-5: 1, 1 << 20: 1}
+	if r := d.Restore(); r.Quantile(0.5) > 1 || r.Quantile(1) != math.MaxInt64 {
+		t.Errorf("out-of-range buckets restored to %v / %v", r.Quantile(0.5), r.Quantile(1))
+	}
+}
+
 func TestLatencyZeroDuration(t *testing.T) {
 	l := NewLatency()
 	l.Add(0)
