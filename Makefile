@@ -68,8 +68,14 @@ scale-smoke:
 	$(GO) test -race -run TestChaosSoak ./internal/check/chaos/ -chaos.seeds 12
 
 # The windowed runtime's bit-identity matrix under the race detector:
-# shard validation, report/figure identity across shard counts, and the
-# sharded chaos soak (live fault injection on shard goroutines).
+# shard validation, report/figure identity across shard counts, the
+# sharded chaos soak (live fault injection on shard goroutines), and a
+# checked trace replay through the facade at -shards 1 vs 4.
 shard-matrix:
 	$(GO) test -race -v -run 'TestShard|TestSweepStoreFailure' ./internal/fabric/ ./internal/experiments/
 	$(GO) test -race -v -run TestChaosSoakSharded ./internal/check/chaos/
+	$(GO) build -o /tmp/recntrace-shard ./cmd/recntrace
+	/tmp/recntrace-shard -gen -duration-us 200 -out /tmp/shard-cello.trace
+	/tmp/recntrace-shard -replay /tmp/shard-cello.trace -cf 40 -check -shards 1 > /tmp/replay-s1.txt
+	/tmp/recntrace-shard -replay /tmp/shard-cello.trace -cf 40 -check -shards 4 > /tmp/replay-s4.txt
+	cmp /tmp/replay-s1.txt /tmp/replay-s4.txt

@@ -66,6 +66,7 @@ func main() {
 			check(repro.ReplayTrace(net, tr, *cf))
 			net.Engine.Drain()
 		}
+		check(net.InjectErr())
 		if *chk {
 			check(net.FinalCheck())
 			fmt.Println("invariant checks passed")

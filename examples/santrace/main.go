@@ -59,6 +59,9 @@ func main() {
 			log.Fatal(err)
 		}
 		net.Engine.Drain()
+		if err := net.InjectErr(); err != nil {
+			log.Fatal(err)
+		}
 		stats := net.RECNStats()
 		fmt.Printf("compression %2.0f: delivered %7d packets (%8d bytes), SAQ allocs %4d, in order: %v\n",
 			cf, net.DeliveredPackets, net.DeliveredBytes, stats.Allocs, net.OrderViolations == 0)

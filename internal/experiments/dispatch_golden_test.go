@@ -80,13 +80,12 @@ func captureDispatch(t *testing.T, policy fabric.Policy, mutate func(*fabric.Con
 			g.Pairs = append(g.Pairs, [2]int64{int64(at), int64(seq)})
 		}
 	})
-	var injectErr error
-	if err := workload(netAdapter{n: net, err: &injectErr}); err != nil {
+	if err := workload(net.Traffic()); err != nil {
 		t.Fatal(err)
 	}
 	net.Engine.Run(until)
-	if injectErr != nil {
-		t.Fatal(injectErr)
+	if err := net.InjectErr(); err != nil {
+		t.Fatal(err)
 	}
 	g.Executed = net.Engine.Executed
 	g.FinalNow = int64(net.Engine.Now())

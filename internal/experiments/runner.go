@@ -24,78 +24,6 @@ import (
 	"repro/internal/units"
 )
 
-// netAdapter exposes a fabric.Network as a traffic.Network. Injection
-// errors (generator bugs: bad host index, zero size) are collected into
-// err rather than panicking, so one bad workload fails its own run
-// instead of aborting a whole sweep; the first error wins. It also
-// implements traffic.HostNetwork: on a sharded network HostView hands
-// each source a view bound to its host's shard engine (with a private
-// error slot, since the streams run concurrently), and ScheduleOn
-// mailboxes cross-host work; on a serial network both collapse to the
-// plain adapter.
-type netAdapter struct {
-	n   *fabric.Network
-	err *error
-	// herr is the per-host injection-error slots of a sharded run
-	// (folded in host order after the run); nil on serial runs.
-	herr []error
-}
-
-func (a netAdapter) Hosts() int                      { return a.n.Topology().NumHosts() }
-func (a netAdapter) Now() sim.Time                   { return a.n.Engine.Now() }
-func (a netAdapter) Schedule(at sim.Time, fn func()) { a.n.Engine.Schedule(at, fn) }
-func (a netAdapter) Inject(src, dst, size int) {
-	if err := a.n.InjectMessage(src, dst, size); err != nil && *a.err == nil {
-		*a.err = err
-	}
-}
-
-func (a netAdapter) HostView(host int) traffic.Network {
-	if a.n.ShardCount() == 0 {
-		return a
-	}
-	return hostAdapter{
-		netAdapter: a,
-		eng:        a.n.ShardEngine(a.n.HostShard(host)),
-		slot:       &a.herr[host],
-	}
-}
-
-func (a netAdapter) ScheduleOn(caller, host int, at sim.Time, fn func()) {
-	a.n.ScheduleRemote(caller, host, at, fn)
-}
-
-// firstInjectErr folds the per-host error slots (lowest host wins, so
-// the reported error does not depend on goroutine timing).
-func (a netAdapter) firstInjectErr() error {
-	if *a.err != nil {
-		return *a.err
-	}
-	for _, err := range a.herr {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// hostAdapter is one host's injection surface on a sharded network:
-// time and scheduling come from the host's shard engine, and injection
-// errors land in the host's own slot.
-type hostAdapter struct {
-	netAdapter
-	eng  *sim.Engine
-	slot *error
-}
-
-func (a hostAdapter) Now() sim.Time                   { return a.eng.Now() }
-func (a hostAdapter) Schedule(at sim.Time, fn func()) { a.eng.Schedule(at, fn) }
-func (a hostAdapter) Inject(src, dst, size int) {
-	if err := a.n.InjectMessage(src, dst, size); err != nil && *a.slot == nil {
-		*a.slot = err
-	}
-}
-
 // Run describes one simulation of one mechanism under one workload.
 type Run struct {
 	Hosts      int
@@ -399,6 +327,9 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		if _, err := net.Shard(r.Shards); err != nil {
 			return nil, err
 		}
+		// Releases the shard workers on the early returns too (simulate
+		// has already finished the windowed run on the others).
+		defer net.FinishWindowed()
 	}
 
 	m, err := newMeters(r.Bin, len(r.LatencyWindows))
@@ -443,20 +374,15 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		}
 		net.Engine.Schedule(0, sample)
 	}
-	var injectErr error
-	adapter := netAdapter{n: net, err: &injectErr}
-	if net.ShardCount() > 0 {
-		adapter.herr = make([]error, net.Topology().NumHosts())
-	}
 	if r.Workload != nil {
-		if err := r.Workload(adapter); err != nil {
+		if err := r.Workload(net.Traffic()); err != nil {
 			return nil, err
 		}
 	}
 	if err := r.simulate(ctx, net); err != nil {
 		return nil, err
 	}
-	if err := adapter.firstInjectErr(); err != nil {
+	if err := net.InjectErr(); err != nil {
 		return nil, fmt.Errorf("experiments: workload injection: %w", err)
 	}
 	for _, sm := range shards {

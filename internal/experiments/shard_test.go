@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // shardReport executes one sharded run and returns its report as
@@ -74,6 +76,50 @@ func TestShardReportIdentityCello(t *testing.T) {
 			base = rep
 		} else if rep != base {
 			t.Fatalf("shards=%d cello report differs from shards=1", k)
+		}
+	}
+}
+
+// badCorner is corner case 2 on 64 hosts with one field bent by bend.
+func badCorner(t *testing.T, bend func(*traffic.CornerCase)) (func(traffic.Network) error, sim.Time) {
+	t.Helper()
+	c, err := traffic.Corner(2, 64, 64, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bend(&c)
+	return c.Install, c.SimEnd
+}
+
+// TestShardInjectionErrorIdentity: a workload whose hot destination is
+// outside the network fails its run with the same injection error on
+// the serial engine and at every shard count, because the per-host
+// error slots fold lowest host first on both runtimes.
+func TestShardInjectionErrorIdentity(t *testing.T) {
+	workload, until := badCorner(t, func(c *traffic.CornerCase) { c.HotDest = 69 })
+	want := ""
+	for _, k := range []int{0, 1, 2, 4} {
+		_, err := Run{Hosts: 64, Policy: fabric.PolicyRECN, Workload: workload, Until: until, Shards: k}.Execute()
+		if err == nil || !strings.Contains(err.Error(), "workload injection") {
+			t.Fatalf("shards=%d: got %v, want a workload injection error", k, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("shards=%d: error %q, serial reported %q", k, err, want)
+		}
+	}
+}
+
+// TestShardRejectsOutOfRangeSource: a hot source outside the network is
+// rejected at install on both runtimes instead of indexing past the
+// host tables of a sharded network.
+func TestShardRejectsOutOfRangeSource(t *testing.T) {
+	workload, until := badCorner(t, func(c *traffic.CornerCase) { c.HotSources = append(c.HotSources, 99) })
+	for _, k := range []int{0, 2} {
+		_, err := Run{Hosts: 64, Policy: fabric.PolicyRECN, Workload: workload, Until: until, Shards: k}.Execute()
+		if err == nil || !strings.Contains(err.Error(), "source 99") {
+			t.Errorf("shards=%d: got %v, want the out-of-range source rejected", k, err)
 		}
 	}
 }

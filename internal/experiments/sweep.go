@@ -311,9 +311,8 @@ func (c *RunCache) Raw(hash uint64) (specKey string, report []byte, ok bool) {
 	return entry.SpecKey, entry.Report, true
 }
 
-// Report converts the result's measurements to the serializable,
-// mergeable form (the trace recorder, being a live object, is not
-// part of it).
+// Report converts the result's measurements to the serializable form
+// (the trace recorder, being a live object, is not part of it).
 func (res *Result) Report() stats.Report {
 	rep := stats.Report{
 		Throughput:      res.Throughput.Dump(),

@@ -323,6 +323,9 @@ type Network struct {
 	// windowsDone marks the windowed run as finished (per-shard stats
 	// folded, worker goroutines released).
 	windowsDone bool
+	// injectErr is Traffic's per-host injection-error slots plus the
+	// network-wide view's (nil until Traffic is first called).
+	injectErr []error
 
 	// Prebound periodic-event thunks: binding the method values once at
 	// construction keeps the rearm paths allocation-free.

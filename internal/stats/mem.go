@@ -41,21 +41,6 @@ type MemReport struct {
 	PoolPeakBytes int64
 }
 
-// Add folds another report into r.
-func (r *MemReport) Add(o MemReport) {
-	r.Ports += o.Ports
-	r.Queues += o.Queues
-	r.RingSlots += o.RingSlots
-	r.PtrSlots += o.PtrSlots
-	r.CreditSlots += o.CreditSlots
-	r.ActiveSlots += o.ActiveSlots
-	r.DestSlots += o.DestSlots
-	r.CAMLines += o.CAMLines
-	r.SAQSlots += o.SAQSlots
-	r.StateBytes += o.StateBytes
-	r.PoolPeakBytes += o.PoolPeakBytes
-}
-
 // BytesPerPort returns the modeled control-state bytes per port unit.
 func (r MemReport) BytesPerPort() float64 {
 	if r.Ports == 0 {

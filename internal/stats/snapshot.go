@@ -6,9 +6,10 @@ import (
 	"repro/internal/sim"
 )
 
-// This file makes every meter serializable (Dump/Restore) and
-// mergeable (Merge), so run results can be cached on disk and sharded
-// runs can be combined into one report. Dumps use only exported scalar
+// This file makes every meter serializable (Dump/Restore), so run
+// results can be cached on disk, and makes the delivery meters
+// mergeable (Merge), so a sharded run's per-shard meters combine into
+// one result. Dumps use only exported scalar
 // fields and encode/decode losslessly through encoding/json (float64
 // values round-trip exactly).
 
@@ -89,34 +90,6 @@ func (d SAQDump) Restore() (*SAQSeries, error) {
 // Bin returns the bin width.
 func (s *SAQSeries) Bin() sim.Time { return s.bin }
 
-// Merge folds another series with the same bin width into this one
-// (bin-wise maxima, matching what Observe keeps).
-func (s *SAQSeries) Merge(o *SAQSeries) error {
-	if o == nil {
-		return nil
-	}
-	if s.bin != o.bin {
-		return fmt.Errorf("stats: merging SAQ series bins %v and %v", s.bin, o.bin)
-	}
-	for len(s.maxs) < len(o.maxs) {
-		s.maxs = append(s.maxs, SAQSample{})
-	}
-	for i, m := range o.maxs {
-		dst := &s.maxs[i]
-		if m.Total > dst.Total {
-			dst.Total = m.Total
-		}
-		if m.MaxIngress > dst.MaxIngress {
-			dst.MaxIngress = m.MaxIngress
-		}
-		if m.MaxEgress > dst.MaxEgress {
-			dst.MaxEgress = m.MaxEgress
-		}
-	}
-	s.negDropped += o.negDropped
-	return nil
-}
-
 // LatencyDump is the serializable form of a Latency summary: only the
 // occupied buckets, keyed by index.
 type LatencyDump struct {
@@ -166,9 +139,8 @@ func (l *Latency) Merge(o *Latency) {
 }
 
 // Report bundles every measurement of one simulation run in a
-// serializable, mergeable form. The experiments package converts its
-// live Result to and from a Report for the on-disk run cache; sharded
-// workloads combine shard Reports with Merge.
+// serializable form. The experiments package converts its live Result
+// to and from a Report for the on-disk run cache.
 type Report struct {
 	Throughput ThroughputDump
 	SAQ        SAQDump
@@ -190,69 +162,6 @@ type Report struct {
 	// reports from before the memory model existed — old cache entries
 	// load unchanged).
 	Mem *MemReport `json:",omitempty"`
-}
-
-// Merge folds another report into this one: series merge bin-wise,
-// counters add, fault accounting adds field-wise.
-func (r *Report) Merge(o *Report) error {
-	if o == nil {
-		return nil
-	}
-	tp, err := r.Throughput.Restore()
-	if err != nil {
-		return err
-	}
-	otp, err := o.Throughput.Restore()
-	if err != nil {
-		return err
-	}
-	if err := tp.Merge(otp); err != nil {
-		return err
-	}
-	r.Throughput = tp.Dump()
-
-	saq, err := r.SAQ.Restore()
-	if err != nil {
-		return err
-	}
-	osaq, err := o.SAQ.Restore()
-	if err != nil {
-		return err
-	}
-	if err := saq.Merge(osaq); err != nil {
-		return err
-	}
-	r.SAQ = saq.Dump()
-
-	lat := r.Latency.Restore()
-	lat.Merge(o.Latency.Restore())
-	r.Latency = lat.Dump()
-	for i, w := range o.Windows {
-		if i == len(r.Windows) {
-			r.Windows = append(r.Windows, LatencyDump{})
-		}
-		lat := r.Windows[i].Restore()
-		lat.Merge(w.Restore())
-		r.Windows[i] = lat.Dump()
-	}
-
-	r.Injected += o.Injected
-	r.Delivered += o.Delivered
-	r.OrderViolations += o.OrderViolations
-	r.Events += o.Events
-	if o.Faults != nil {
-		if r.Faults == nil {
-			r.Faults = &FaultReport{}
-		}
-		r.Faults.Merge(o.Faults)
-	}
-	if o.Mem != nil {
-		if r.Mem == nil {
-			r.Mem = &MemReport{}
-		}
-		r.Mem.Add(*o.Mem)
-	}
-	return nil
 }
 
 // Merge adds another report's accounting field-wise. LastStallAt keeps

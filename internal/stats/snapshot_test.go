@@ -51,32 +51,17 @@ func TestThroughputMerge(t *testing.T) {
 	}
 }
 
-func TestSAQSeriesDumpMerge(t *testing.T) {
+func TestSAQSeriesDumpRoundTrip(t *testing.T) {
 	a, _ := NewSAQSeries(sim.Microsecond)
-	b, _ := NewSAQSeries(sim.Microsecond)
 	a.Observe(0, SAQSample{Total: 3, MaxIngress: 2, MaxEgress: 1})
-	b.Observe(0, SAQSample{Total: 1, MaxIngress: 4, MaxEgress: 0})
-	b.Observe(sim.Microsecond, SAQSample{Total: 7, MaxIngress: 1, MaxEgress: 5})
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	// Merging keeps bin-wise maxima, exactly like Observe.
-	if got := a.At(0); got != (SAQSample{Total: 3, MaxIngress: 4, MaxEgress: 1}) {
-		t.Fatalf("bin 0 = %+v", got)
-	}
-	if p := a.Peak(); p != (SAQSample{Total: 7, MaxIngress: 4, MaxEgress: 5}) {
-		t.Fatalf("peak = %+v", p)
-	}
+	a.Observe(0, SAQSample{Total: 1, MaxIngress: 4, MaxEgress: 0})
+	a.Observe(sim.Microsecond, SAQSample{Total: 7, MaxIngress: 1, MaxEgress: 5})
 	back, err := a.Dump().Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Peak() != a.Peak() || back.Bins() != a.Bins() {
+	if back.Peak() != a.Peak() || back.Bins() != a.Bins() || back.At(0) != a.At(0) {
 		t.Fatal("SAQ dump round trip")
-	}
-	c, _ := NewSAQSeries(2 * sim.Microsecond)
-	if err := a.Merge(c); err == nil {
-		t.Error("bin-width mismatch merged")
 	}
 }
 
@@ -140,61 +125,6 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep, back) {
 		t.Fatalf("round trip:\nin:  %+v\nout: %+v", rep, back)
-	}
-}
-
-func TestReportMerge(t *testing.T) {
-	mk := func(bytes uint64, injected uint64) Report {
-		tp, _ := NewThroughput(sim.Microsecond)
-		tp.Add(0, int(bytes))
-		saq, _ := NewSAQSeries(sim.Microsecond)
-		saq.Observe(0, SAQSample{Total: int(injected)})
-		lat := NewLatency()
-		lat.Add(sim.Time(bytes))
-		return Report{
-			Throughput: tp.Dump(),
-			SAQ:        saq.Dump(),
-			Latency:    lat.Dump(),
-			Injected:   injected,
-			Delivered:  injected,
-			Events:     injected * 3,
-		}
-	}
-	a, b := mk(100, 4), mk(50, 9)
-	b.Faults = &FaultReport{LinkDowns: 1}
-	a.Windows = []LatencyDump{a.Latency}
-	b.Windows = []LatencyDump{b.Latency, b.Latency}
-	if err := a.Merge(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Injected != 13 || a.Events != 39 {
-		t.Fatalf("merged counters: %+v", a)
-	}
-	tp, err := a.Throughput.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.Total() != 150 {
-		t.Fatalf("merged throughput %d", tp.Total())
-	}
-	saq, err := a.SAQ.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saq.Peak().Total != 9 {
-		t.Fatalf("merged SAQ peak %+v", saq.Peak())
-	}
-	if a.Latency.Restore().Count() != 2 {
-		t.Fatal("merged latency count")
-	}
-	if len(a.Windows) != 2 || a.Windows[0].Restore().Count() != 2 || a.Windows[1].Restore().Count() != 1 {
-		t.Fatalf("merged latency windows: %+v", a.Windows)
-	}
-	if a.Faults == nil || a.Faults.LinkDowns != 1 {
-		t.Fatalf("merged faults: %+v", a.Faults)
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("nil merge: %v", err)
 	}
 }
 

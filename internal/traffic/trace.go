@@ -111,29 +111,3 @@ func (rp Replay) Install(net Network) error {
 	}
 	return nil
 }
-
-// Capture builds a Trace by recording every Inject call, for writing
-// synthetic workloads (e.g. the Cello model) to files.
-type Capture struct {
-	inner Network
-	Out   Trace
-}
-
-// NewCapture wraps a network so injections are recorded as they are
-// forwarded.
-func NewCapture(inner Network) *Capture { return &Capture{inner: inner} }
-
-// Hosts returns the wrapped network's endpoint count.
-func (c *Capture) Hosts() int { return c.inner.Hosts() }
-
-// Now returns the wrapped network's clock.
-func (c *Capture) Now() sim.Time { return c.inner.Now() }
-
-// Schedule forwards to the wrapped network.
-func (c *Capture) Schedule(at sim.Time, fn func()) { c.inner.Schedule(at, fn) }
-
-// Inject records the message and forwards it.
-func (c *Capture) Inject(src, dst, size int) {
-	c.Out = append(c.Out, Record{T: c.inner.Now(), Src: src, Dst: dst, Size: size})
-	c.inner.Inject(src, dst, size)
-}

@@ -14,8 +14,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Network is the injection surface a generator drives. fabric.Network
-// is adapted to it by the experiments package; tests can use fakes.
+// Network is the injection surface a generator drives. The fabric
+// provides it (fabric.Network.Traffic); tests can use fakes.
 type Network interface {
 	// Hosts returns the number of endpoints.
 	Hosts() int
@@ -27,13 +27,13 @@ type Network interface {
 	Inject(src, dst, size int)
 }
 
-// HostNetwork is an optional Network extension the sharded runtime
-// implements: HostView returns a per-host injection surface whose Now,
-// Schedule and Inject run on the engine that simulates the host, and
-// ScheduleOn schedules fn on another host's engine (mailboxed at a
-// window boundary — for deferred replies like Cello's disk responses).
-// Generators resolve the extension through hostView/scheduleOn, which
-// fall back to the plain Network, so serial runs are untouched.
+// HostNetwork is an optional Network extension the fabric implements:
+// HostView returns a per-host injection surface whose Now, Schedule
+// and Inject run on the engine that simulates the host, and ScheduleOn
+// schedules fn on another host's engine (mailboxed at a window
+// boundary on a sharded network — for deferred replies like Cello's
+// disk responses). Generators resolve the extension through
+// hostView/scheduleOn, which fall back to the plain Network.
 type HostNetwork interface {
 	Network
 	HostView(host int) Network
@@ -84,6 +84,9 @@ func (u Uniform) Install(net Network) error {
 	if u.MsgSize <= 0 {
 		return fmt.Errorf("traffic: message size %d", u.MsgSize)
 	}
+	if err := validateSources(u.Sources, net.Hosts()); err != nil {
+		return err
+	}
 	gap := interMessageGap(u.MsgSize, u.Rate)
 	for i, src := range u.Sources {
 		src := src
@@ -126,12 +129,17 @@ func (h Hotspot) Install(net Network) error {
 	if h.MsgSize <= 0 {
 		return fmt.Errorf("traffic: message size %d", h.MsgSize)
 	}
-	gap := interMessageGap(h.MsgSize, h.Rate)
-	for i, src := range h.Sources {
-		src := src
+	if err := validateSources(h.Sources, net.Hosts()); err != nil {
+		return err
+	}
+	for _, src := range h.Sources {
 		if src == h.Dest {
 			return fmt.Errorf("traffic: hotspot source %d equals destination", src)
 		}
+	}
+	gap := interMessageGap(h.MsgSize, h.Rate)
+	for i, src := range h.Sources {
+		src := src
 		hv := hostView(net, src)
 		rng := rand.New(rand.NewSource(h.Seed + int64(i)*104729))
 		var gen func()
@@ -144,6 +152,18 @@ func (h Hotspot) Install(net Network) error {
 		}
 		phase := sim.Time(rng.Int63n(int64(gap) + 1))
 		hv.Schedule(h.Start+phase, gen)
+	}
+	return nil
+}
+
+// validateSources rejects a source outside the network before any of
+// the generator's events are scheduled. (A bad destination is an
+// injection error of the run instead.)
+func validateSources(sources []int, hosts int) error {
+	for _, src := range sources {
+		if src < 0 || src >= hosts {
+			return fmt.Errorf("traffic: source %d outside the %d hosts", src, hosts)
+		}
 	}
 	return nil
 }

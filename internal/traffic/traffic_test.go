@@ -76,6 +76,15 @@ func TestUniformValidation(t *testing.T) {
 	if err := (Uniform{Sources: []int{0}, Rate: 1, MsgSize: 0}).Install(net); err == nil {
 		t.Error("size 0 accepted")
 	}
+	if err := (Uniform{Sources: []int{0, 8}, Rate: 1, MsgSize: 64}).Install(net); err == nil {
+		t.Error("source 8 on an 8-host network accepted")
+	}
+	if err := (Uniform{Sources: []int{-1}, Rate: 1, MsgSize: 64}).Install(net); err == nil {
+		t.Error("source -1 accepted")
+	}
+	if net.eng.Pending() != 0 {
+		t.Errorf("rejected generators left %d events scheduled", net.eng.Pending())
+	}
 }
 
 func TestHotspotWindow(t *testing.T) {
@@ -114,6 +123,21 @@ func TestHotspotWindow(t *testing.T) {
 	bad := Hotspot{Sources: []int{32}, Dest: 32, Rate: 1, MsgSize: 64}
 	if err := bad.Install(newFakeNet(64)); err == nil {
 		t.Error("hotspot with source == dest accepted")
+	}
+	// A source outside the network is rejected before anything is
+	// scheduled; a bad destination is left to the injection path.
+	small := newFakeNet(8)
+	for _, srcs := range [][]int{{1, 8}, {-1}} {
+		bad := Hotspot{Sources: srcs, Dest: 0, Rate: 1, MsgSize: 64}
+		if err := bad.Install(small); err == nil {
+			t.Errorf("hotspot sources %v on 8 hosts accepted", srcs)
+		}
+	}
+	if small.eng.Pending() != 0 {
+		t.Errorf("rejected hotspots left %d events scheduled", small.eng.Pending())
+	}
+	if err := (Hotspot{Sources: []int{1}, Dest: 9, Rate: 1, MsgSize: 64}).Install(small); err != nil {
+		t.Errorf("out-of-range destination rejected at install: %v", err)
 	}
 }
 
@@ -360,21 +384,5 @@ func TestReplay(t *testing.T) {
 	}
 	if err := (Replay{Trace: tr, Compression: 0}).Install(newFakeNet(4)); err == nil {
 		t.Error("zero compression accepted")
-	}
-}
-
-func TestCapture(t *testing.T) {
-	inner := newFakeNet(8)
-	cap := NewCapture(inner)
-	cap.Schedule(10, func() { cap.Inject(1, 2, 64) })
-	inner.eng.Drain()
-	if len(cap.Out) != 1 || cap.Out[0].T != 10 || cap.Out[0].Src != 1 {
-		t.Fatalf("capture: %+v", cap.Out)
-	}
-	if len(inner.msgs) != 1 {
-		t.Fatal("capture did not forward")
-	}
-	if cap.Hosts() != 8 || cap.Now() != inner.eng.Now() {
-		t.Error("capture wrappers broken")
 	}
 }

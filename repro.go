@@ -81,7 +81,7 @@ type (
 	// the store failures a sweep does not fail on), delivered through
 	// Options.OnCacheSummary.
 	CacheSummary = experiments.CacheSummary
-	// RunReport is the serializable, mergeable form of a Result
+	// RunReport is the serializable form of a Result
 	// (Result.Report / ResultFromReport convert between the two).
 	RunReport = stats.Report
 	// CornerCase is a Table 1 workload.
@@ -348,52 +348,20 @@ func Corner(number, hosts, msgSize int, scale float64) (CornerCase, error) {
 	return traffic.Corner(number, hosts, msgSize, scale)
 }
 
-// InstallCorner installs a corner-case workload on a network.
+// InstallCorner installs a corner-case workload on a network (shard
+// it first to run the workload on the windowed runtime). An injection
+// that fails mid-run does not stop the run: Network.InjectErr reports
+// it afterwards.
 func InstallCorner(net *Network, c CornerCase) error {
-	return c.Install(adapter{net})
+	return c.Install(net.Traffic())
 }
 
 // InstallCello installs the SAN (cello model) workload on a network
-// with the given trace time-compression factor.
+// with the given trace time-compression factor. Injection errors are
+// reported as for InstallCorner.
 func InstallCello(net *Network, compression float64) error {
-	return traffic.DefaultCello(compression).Install(adapter{net})
+	return traffic.DefaultCello(compression).Install(net.Traffic())
 }
-
-// adapter exposes a Network to the traffic generators. It implements
-// traffic.HostNetwork so workloads installed on a sharded network run
-// each source on its host's shard engine; on a serial network both
-// extra methods collapse to the plain adapter.
-type adapter struct{ n *Network }
-
-func (a adapter) Hosts() int                  { return a.n.Topology().NumHosts() }
-func (a adapter) Now() Time                   { return a.n.Engine.Now() }
-func (a adapter) Schedule(at Time, fn func()) { a.n.Engine.Schedule(at, fn) }
-func (a adapter) Inject(src, dst, size int) {
-	if err := a.n.InjectMessage(src, dst, size); err != nil {
-		panic(err)
-	}
-}
-
-func (a adapter) HostView(host int) traffic.Network {
-	if a.n.ShardCount() == 0 {
-		return a
-	}
-	return shardHostAdapter{adapter: a, eng: a.n.ShardEngine(a.n.HostShard(host))}
-}
-
-func (a adapter) ScheduleOn(caller, host int, at Time, fn func()) {
-	a.n.ScheduleRemote(caller, host, at, fn)
-}
-
-// shardHostAdapter is one host's view of a sharded network: time and
-// scheduling come from the host's shard engine.
-type shardHostAdapter struct {
-	adapter
-	eng *sim.Engine
-}
-
-func (a shardHostAdapter) Now() Time                   { return a.eng.Now() }
-func (a shardHostAdapter) Schedule(at Time, fn func()) { a.eng.Schedule(at, fn) }
 
 // GenerateCelloTrace synthesizes the cello-model SAN workload as a
 // replayable trace at time compression `compression`: message
@@ -437,9 +405,10 @@ func WriteTrace(w io.Writer, tr Trace) error { return traffic.WriteTrace(w, tr) 
 func ReadTrace(r io.Reader) (Trace, error) { return traffic.ReadTrace(r) }
 
 // ReplayTrace installs a trace on a network with the paper's time
-// compression factor.
+// compression factor. Injection errors are reported as for
+// InstallCorner.
 func ReplayTrace(net *Network, tr Trace, compression float64) error {
-	return traffic.Replay{Trace: tr, Compression: compression}.Install(adapter{net})
+	return traffic.Replay{Trace: tr, Compression: compression}.Install(net.Traffic())
 }
 
 // Table1 reproduces the paper's Table 1.

@@ -179,3 +179,99 @@ func TestSweepFacades(t *testing.T) {
 		t.Fatalf("SweepThresholds: %v %v", tables, err)
 	}
 }
+
+// shardedFacadeNet builds a 64-host RECN network sharded k ways
+// (k = 0 leaves it on the serial engine).
+func shardedFacadeNet(t *testing.T, k int) *Network {
+	t.Helper()
+	net, err := NewNetwork(64, PolicyRECN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k > 0 {
+		if _, err := net.Shard(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return net
+}
+
+// The facade's install functions bind each source to its host's shard
+// engine: a drained trace replay and the first 100 µs of the cello
+// model deliver the same packets and bytes at every shard count, in
+// order.
+func TestFacadeInstallsShardIdentity(t *testing.T) {
+	tr, err := GenerateCelloTrace(64, 200*Microsecond, 20, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installs := []struct {
+		name    string
+		install func(*Network) error
+		until   Time // 0 drains
+	}{
+		{"replay", func(net *Network) error { return ReplayTrace(net, tr, 40) }, 0},
+		{"cello", func(net *Network) error { return InstallCello(net, 40) }, 100 * Microsecond},
+	}
+	for _, in := range installs {
+		var base [2]uint64
+		for _, k := range []int{1, 4} {
+			net := shardedFacadeNet(t, k)
+			if err := in.install(net); err != nil {
+				t.Fatal(err)
+			}
+			if in.until == 0 {
+				net.DrainWindowed()
+			} else {
+				net.RunWindowed(in.until)
+				net.FinishWindowed()
+			}
+			if err := net.InjectErr(); err != nil {
+				t.Fatalf("%s shards=%d: %v", in.name, k, err)
+			}
+			if net.OrderViolations != 0 {
+				t.Fatalf("%s shards=%d: %d order violations", in.name, k, net.OrderViolations)
+			}
+			got := [2]uint64{net.DeliveredPackets, net.DeliveredBytes}
+			if got[0] == 0 {
+				t.Fatalf("%s shards=%d delivered nothing", in.name, k)
+			}
+			if k == 1 {
+				base = got
+			} else if got != base {
+				t.Errorf("%s shards=%d delivered %v packets/bytes, shards=1 %v", in.name, k, got, base)
+			}
+		}
+	}
+}
+
+// An injection error is reported after the run, not panicked mid-run,
+// and it is the same error on both runtimes.
+func TestInstallCornerInjectErr(t *testing.T) {
+	c, err := Corner(2, 64, 64, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.HotDest = 69
+	want := ""
+	for _, k := range []int{0, 2} {
+		net := shardedFacadeNet(t, k)
+		if err := InstallCorner(net, c); err != nil {
+			t.Fatal(err)
+		}
+		if k > 0 {
+			net.DrainWindowed()
+		} else {
+			net.Engine.Drain()
+		}
+		err := net.InjectErr()
+		if err == nil {
+			t.Fatalf("shards=%d: no injection error for hot destination 69", k)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("shards=%d: %q, serial reported %q", k, err, want)
+		}
+	}
+}
