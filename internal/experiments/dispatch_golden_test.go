@@ -15,11 +15,16 @@ package experiments
 // the scheduler — changes event order).
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fabric"
@@ -43,6 +48,10 @@ type dispatchGolden struct {
 	// Checksum is an FNV-64a hash over all of the above, including
 	// every captured pair.
 	Checksum string `json:"checksum"`
+	// stream is an FNV-64a hash over every dispatched pair (not only
+	// the first maxDispatchPairs) followed by Executed and Delivered:
+	// the per-policy pin's cell digest.
+	stream string
 }
 
 const maxDispatchPairs = 5000
@@ -56,15 +65,22 @@ func (g *dispatchGolden) seal() {
 	g.Checksum = fmt.Sprintf("%016x", h.Sum64())
 }
 
-// captureDispatch mirrors Run.Execute's network construction with a
-// dispatch probe attached, running the workload to the horizon.
-func captureDispatch(t *testing.T, policy fabric.Policy, mutate func(*fabric.Config),
-	workload func(traffic.Network) error, until sim.Time) *dispatchGolden {
+// min64 is the paper's 64-host perfect-shuffle MIN, the topology of
+// every single-policy dispatch golden.
+func min64(t *testing.T) fabric.Topology {
 	t.Helper()
 	topo, err := topology.ForHosts(64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return topo
+}
+
+// captureDispatch mirrors Run.Execute's network construction with a
+// dispatch probe attached, running the workload to the horizon.
+func captureDispatch(t *testing.T, topo fabric.Topology, policy fabric.Policy, mutate func(*fabric.Config),
+	workload func(traffic.Network) error, until sim.Time) *dispatchGolden {
+	t.Helper()
 	cfg := fabric.DefaultConfig(topo)
 	cfg.Policy = policy
 	if mutate != nil {
@@ -75,10 +91,15 @@ func captureDispatch(t *testing.T, policy fabric.Policy, mutate func(*fabric.Con
 		t.Fatal(err)
 	}
 	g := &dispatchGolden{}
+	stream := fnv.New64a()
+	var buf [16]byte
 	net.Engine.SetDispatchProbe(func(at sim.Time, seq uint64) {
 		if len(g.Pairs) < maxDispatchPairs {
 			g.Pairs = append(g.Pairs, [2]int64{int64(at), int64(seq)})
 		}
+		binary.LittleEndian.PutUint64(buf[:8], uint64(at))
+		binary.LittleEndian.PutUint64(buf[8:], seq)
+		stream.Write(buf[:])
 	})
 	if err := workload(net.Traffic()); err != nil {
 		t.Fatal(err)
@@ -93,6 +114,8 @@ func captureDispatch(t *testing.T, policy fabric.Policy, mutate func(*fabric.Con
 	g.Delivered = net.DeliveredPackets
 	g.DeliveredBytes = net.DeliveredBytes
 	g.seal()
+	fmt.Fprintf(stream, "%d|%d", g.Executed, g.Delivered)
+	g.stream = fmt.Sprintf("%016x", stream.Sum64())
 	return g
 }
 
@@ -142,7 +165,7 @@ func TestDispatchGoldenFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureDispatch(t, fabric.PolicyRECN, nil, workload, until)
+	got := captureDispatch(t, min64(t), fabric.PolicyRECN, nil, workload, until)
 	checkDispatchGolden(t, "dispatch_fig2.json", got)
 }
 
@@ -150,6 +173,97 @@ func TestDispatchGoldenFig2(t *testing.T) {
 // trace seed (cello model, compression 20) under RECN.
 func TestDispatchGoldenFig3(t *testing.T) {
 	workload, until := CelloWorkload(20, 0.25)
-	got := captureDispatch(t, fabric.PolicyRECN, celloMutate, workload, until)
+	got := captureDispatch(t, min64(t), fabric.PolicyRECN, celloMutate, workload, until)
 	checkDispatchGolden(t, "dispatch_fig3.json", got)
+}
+
+// policyGoldenFile pins TestDispatchGoldenPolicies: one line per
+// (topology, policy) cell, "<topo> <policy> <stream digest> <executed>
+// <delivered>".
+const policyGoldenFile = "dispatch_policies.txt"
+
+// TestDispatchGoldenPolicies pins the complete dispatch stream of every
+// policy on every topology: corner case 2 on 64 hosts, its hotspot
+// moved to 2–30 µs of a 40 µs run. The window is long enough for each
+// mechanism's own machinery to act (SAQs, ECN marks, steering hints),
+// so no two cells share a digest; at the shorter horizon of scale 0.01
+// RECN, throttle and arn all hash equal to 1Q. -short runs the MIN row.
+func TestDispatchGoldenPolicies(t *testing.T) {
+	c, err := traffic.Corner(2, 64, 64, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.HotStart, c.HotEnd, c.SimEnd = 2*sim.Microsecond, 30*sim.Microsecond, 40*sim.Microsecond
+	topos := []struct {
+		name  string
+		build func() (fabric.Topology, error)
+	}{
+		{"min", func() (fabric.Topology, error) { return topology.ForHosts(64) }},
+		{"fattree", func() (fabric.Topology, error) { return topology.NewFatTree(64) }},
+		{"mesh", func() (fabric.Topology, error) { return topology.NewMesh(8, 8) }},
+	}
+	if testing.Short() {
+		topos = topos[:1]
+	}
+	path := filepath.Join("testdata", policyGoldenFile)
+	update := os.Getenv("UPDATE_DISPATCH_GOLDEN") != ""
+	want := map[string]string{}
+	var mu sync.Mutex
+	if update {
+		if testing.Short() {
+			t.Fatal("regenerate the per-policy golden without -short")
+		}
+		// Subtests run in parallel, so the file is written once they
+		// have all finished.
+		t.Cleanup(func() {
+			lines := make([]string, 0, len(want))
+			for _, l := range want {
+				lines = append(lines, l)
+			}
+			sort.Strings(lines)
+			data := "# TestDispatchGoldenPolicies: <topo> <policy> <stream digest> <executed> <delivered>\n" +
+				strings.Join(lines, "\n") + "\n"
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	} else {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatalf("missing golden %s (regenerate with UPDATE_DISPATCH_GOLDEN=1): %v", path, err)
+		}
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if fs := strings.Fields(sc.Text()); len(fs) == 5 && !strings.HasPrefix(fs[0], "#") {
+				want[fs[0]+" "+fs[1]] = sc.Text()
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tp := range topos {
+		for _, p := range fabric.Policies {
+			key := tp.name + " " + p.String()
+			t.Run(tp.name+"/"+p.String(), func(t *testing.T) {
+				t.Parallel()
+				topo, err := tp.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := captureDispatch(t, topo, p, nil, c.Install, c.SimEnd)
+				line := fmt.Sprintf("%s %s %d %d", key, g.stream, g.Executed, g.Delivered)
+				mu.Lock()
+				defer mu.Unlock()
+				if update {
+					want[key] = line
+					return
+				}
+				if want[key] != line {
+					t.Fatalf("dispatch stream moved:\n got  %s\n want %s", line, want[key])
+				}
+			})
+		}
+	}
 }

@@ -88,7 +88,7 @@ func TestDispatchGoldenThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureDispatch(t, fabric.PolicyThrottle, nil, workload, until)
+	got := captureDispatch(t, min64(t), fabric.PolicyThrottle, nil, workload, until)
 	checkDispatchGolden(t, "dispatch_shootout_throttle.json", got)
 }
 
@@ -97,7 +97,7 @@ func TestDispatchGoldenARN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureDispatch(t, fabric.PolicyARN, nil, workload, until)
+	got := captureDispatch(t, min64(t), fabric.PolicyARN, nil, workload, until)
 	checkDispatchGolden(t, "dispatch_shootout_arn.json", got)
 }
 
