@@ -46,12 +46,13 @@ shootout:
 	$(GO) run ./cmd/recnsim -fig shootout -scale 0.25
 
 # The cross-policy determinism battery under the race detector:
-# throttle AIMD property tests, the hotspot behavior tests, spec
-# validation, shoot-out identity + dispatch goldens, and the daemon's
-# bad-spec rejections (same selection CI's policy-matrix job runs).
+# throttle AIMD property tests, the hotspot behavior tests, the policy
+# trait table and its memory model, spec validation, shoot-out
+# identity + dispatch goldens (the per-policy pin included), and the
+# daemon's bad-spec rejections (CI's policy-matrix job runs this target).
 policy-matrix:
 	$(GO) test -race ./internal/throttle/
-	$(GO) test -race -run 'TestThrottle|TestARN' ./internal/fabric/
+	$(GO) test -race -run 'TestThrottle|TestARN|TestPolicyTraits|TestEagerMemStats' ./internal/fabric/
 	$(GO) test -race -run 'TestShootout|TestDispatchGolden|TestValidatePolicyOptions|TestOptionsValidate' ./internal/experiments/
 	$(GO) test -race -run TestAdmissionBadRequests ./internal/server/
 

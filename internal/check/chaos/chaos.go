@@ -33,8 +33,8 @@ type Scenario struct {
 	Hosts     int
 	Until     sim.Time
 	Fragments []string
-	// Policy names the queuing mechanism under test ("RECN",
-	// "throttle", "arn", ...); empty means RECN, so pre-existing
+	// Policy names the queuing mechanism under test (any
+	// fabric.PolicyNames entry); empty means RECN, so pre-existing
 	// hand-written scenarios keep their meaning.
 	Policy string
 	// Topo selects the routing function: "" or "min" is the paper's
@@ -144,9 +144,8 @@ func Generate(seed int64, hosts int) (Scenario, error) {
 		s.Fragments = append(s.Fragments, gens[g]())
 	}
 	// Drawn after the fragments so per-seed fault plans are unchanged
-	// from the RECN-only soaks; the soak now also samples the
-	// congestion-management challengers.
-	s.Policy = []string{"RECN", "throttle", "arn"}[rng.Intn(3)]
+	// from the RECN-only soaks; the soak samples every mechanism.
+	s.Policy = fabric.Policies[rng.Intn(len(fabric.Policies))].String()
 	// Drawn last for the same reason: a quarter of the scenarios run on
 	// the adaptive fat tree (same wiring, different routing), so the
 	// soak covers the scaling figures' topology without perturbing any

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/fabric"
 )
 
 // -chaos.seeds widens the soak matrix (CI's scheduled job passes a
@@ -39,9 +41,9 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		policies[a.Policy]++
 	}
-	for _, want := range []string{"RECN", "throttle", "arn"} {
-		if policies[want] == 0 {
-			t.Fatalf("policy %s never sampled across 20 seeds: %v", want, policies)
+	for _, p := range fabric.Policies {
+		if policies[p.String()] == 0 {
+			t.Fatalf("policy %s never sampled across 20 seeds: %v", p, policies)
 		}
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"strings"
 )
 
-// ARNConfig holds the adaptive-routing-notification tunables (used only
-// by PolicyARN). A switch output queue crossing HintOnBytes makes the
-// switch broadcast a hint-on control message to every upstream
-// neighbor; when the last output queue falls back below HintOffBytes
-// the switch broadcasts hint-off. Upstream ingress arbiters then prefer
-// interchangeable up ports that do not lead into a hinted switch (see
-// steer in ingress.go). The on/off hysteresis gap keeps a queue
-// oscillating around a single threshold from flooding the links with
-// hint traffic.
+// ARNConfig holds the adaptive-routing-notification tunables, read
+// only under a steering sideband (PolicyARN). A switch output queue
+// crossing HintOnBytes makes the switch broadcast a hint-on control
+// message to every upstream neighbor; when the last output queue
+// falls back below HintOffBytes the switch broadcasts hint-off.
+// Upstream ingress arbiters then prefer interchangeable up ports that
+// do not lead into a hinted switch (see steer in ingress.go). The
+// on/off hysteresis gap keeps a queue oscillating around a single
+// threshold from flooding the links with hint traffic.
 type ARNConfig struct {
 	// HintOnBytes is the output-queue occupancy that marks the queue
 	// congested (default 16 KB).

@@ -210,43 +210,24 @@ func (n *Network) auditCreditBounds() {
 // must equal the used CAM lines — a divergence is a leaked or
 // double-freed CAM line / SAQ.
 func (n *Network) auditSAQLifecycle() {
-	if n.cfg.Policy != PolicyRECN {
-		return
-	}
-	auditCtl := func(loc trace.Loc, st recn.Stats, active, camUsed int) {
+	n.forEachCtl(func(c saqCtl, loc trace.Loc, _ *shardCtx) {
+		st, active, camUsed := c.Stats(), c.ActiveSAQs(), c.CAMUsed()
 		live := st.Allocs - st.Deallocs
 		if live != uint64(active) || active != camUsed {
 			n.check.Failf(check.RuleSAQLifecycle, loc,
 				"allocs %d - deallocs %d = %d, active SAQs %d, CAM lines %d",
 				st.Allocs, st.Deallocs, live, active, camUsed)
 		}
-	}
-	for _, sw := range n.switches {
-		for _, in := range sw.in {
-			if in != nil && in.rc != nil {
-				auditCtl(in.loc(), in.rc.Stats(), in.rc.ActiveSAQs(), in.rc.CAMUsed())
-			}
-		}
-		for _, out := range sw.out {
-			if out != nil && out.rc != nil {
-				auditCtl(out.loc(), out.rc.Stats(), out.rc.ActiveSAQs(), out.rc.CAMUsed())
-			}
-		}
-	}
-	for _, nic := range n.nics {
-		if nic.inj.rc != nil {
-			auditCtl(nic.inj.loc(), nic.inj.rc.Stats(), nic.inj.rc.ActiveSAQs(), nic.inj.rc.CAMUsed())
-		}
-	}
+	})
 }
 
 // auditThrottle verifies every source's AIMD pacer contract
-// (PolicyThrottle): the rate never leaves [MinRateMilli, line rate],
+// (ECN sideband): the rate never leaves [MinRateMilli, line rate],
 // and a below-full rate always has the additive-increase timer armed —
 // without it the source would stay throttled forever after congestion
 // clears (the recovery guarantee CheckQuiesced asserts at end of run).
 func (n *Network) auditThrottle() {
-	if n.cfg.Policy != PolicyThrottle {
+	if n.q.side != sideECN {
 		return
 	}
 	min := n.cfg.Throttle.MinRateMilli

@@ -53,10 +53,10 @@ type egressUnit struct {
 	// weighted round-robin with normal queues preferred).
 	wrrDebt int
 
-	// Adaptive-routing notification state (PolicyARN, switch output
-	// ports only). hintOn is this port's own congestion flag (hysteresis
-	// on pool occupancy; transitions feed the switch-level census that
-	// broadcasts hints upstream). hintStop means the switch this port
+	// Adaptive-routing notification state (steering sideband, switch
+	// output ports only). hintOn is this port's own congestion flag
+	// (hysteresis on pool occupancy; transitions feed the switch-level
+	// census that broadcasts hints upstream). hintStop means the switch this port
 	// feeds has hinted congestion: the co-located ingress arbiter then
 	// penalizes this port when steering (set/cleared by arriveCtl).
 	hintOn   bool
@@ -66,8 +66,8 @@ type egressUnit struct {
 // init builds the unit in place — units live in slab arenas, one
 // allocation per kind for the whole fabric; channels and credits are
 // wired later. rc is this port's slot in the RECN controller arena
-// (nil unless PolicyRECN). Construction errors (bad pool capacity)
-// surface through fabric.New's error return.
+// (nil unless the policy uses SAQs). Construction errors (bad pool
+// capacity) surface through fabric.New's error return.
 func (u *egressUnit) init(net *Network, sw *Switch, port int, terminal bool, rc *recn.Egress) error {
 	cfg := net.cfg
 	u.net = net
@@ -77,10 +77,9 @@ func (u *egressUnit) init(net *Network, sw *Switch, port int, terminal bool, rc 
 	if err := u.pool.Init(cfg.PortMemory); err != nil {
 		return err
 	}
-	nq, qcap := egressQueuePlan(cfg)
-	u.qs.init(&u.pool, nq, qcap, cfg.Policy == PolicyVOQnet && !cfg.EagerState)
-	u.active.init(nq, !cfg.EagerState)
-	if cfg.Policy == PolicyRECN {
+	u.qs.initSide(&u.pool, net.q.out, &cfg)
+	u.active.init(u.qs.len(), !cfg.EagerState)
+	if rc != nil {
 		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), terminal, u, cfg.EagerState); err != nil {
 			return err
 		}
@@ -89,29 +88,11 @@ func (u *egressUnit) init(net *Network, sw *Switch, port int, terminal bool, rc 
 	return nil
 }
 
-// egressQueuePlan returns the number of policy queues and per-queue cap
-// at an output port for the configured mechanism.
-func egressQueuePlan(cfg Config) (n, cap int) {
-	switch cfg.Policy {
-	case Policy1Q, PolicyVOQsw, PolicyThrottle, PolicyARN:
-		return 1, 0
-	case PolicyRECN:
-		return cfg.TrafficClasses, 0
-	case Policy4Q:
-		return 4, 0
-	case PolicyVOQnet:
-		hosts := cfg.Topo.NumHosts()
-		return hosts, cfg.PortMemory / hosts
-	default:
-		// Unreachable: Config.Validate rejects unknown policies before
-		// any unit is built.
-		panic(check.NewViolation(check.RuleInternal, trace.NetLoc,
-			fmt.Sprintf("fabric: unknown policy %v", cfg.Policy)))
-	}
-}
-
 // attach wires the outgoing channel and initializes credits for the
-// remote input buffer.
+// remote input buffer: queue-level toward a switch whose input queues
+// own a fixed share of the RAM (paper §4.1: "a credit-based flow
+// control at the queue level has been implemented for the VOQ
+// mechanisms"), port-level otherwise.
 func (u *egressUnit) attach(sink linkSink, remoteHost bool) {
 	u.ch = &u.chSt
 	u.ch.init(u.sc, u, sink)
@@ -120,16 +101,10 @@ func (u *egressUnit) attach(sink linkSink, remoteHost bool) {
 	cfg := u.net.cfg
 	u.portCredits = cfg.PortMemory
 	u.initPort = cfg.PortMemory
-	if !remoteHost {
-		switch cfg.Policy {
-		case PolicyVOQsw:
-			ports := cfg.Topo.PortsPerSwitch()
-			u.initQueue = cfg.PortMemory / ports
-			u.queueCredits.init(ports, u.initQueue, false)
-		case PolicyVOQnet:
-			hosts := cfg.Topo.NumHosts()
-			u.initQueue = cfg.PortMemory / hosts
-			u.queueCredits.init(hosts, u.initQueue, !cfg.EagerState)
+	if in := u.net.q.in; !remoteHost {
+		if n, qcap := in.plan(&cfg); qcap > 0 {
+			u.initQueue = qcap
+			u.queueCredits.init(n, qcap, in.paged(&cfg))
 		}
 	}
 }
@@ -140,13 +115,7 @@ func (u *egressUnit) creditIndex(p *pkt.Packet) int {
 	if !u.queueCredits.enabled() {
 		return -1
 	}
-	switch u.net.cfg.Policy {
-	case PolicyVOQsw:
-		return int(p.NextTurn())
-	case PolicyVOQnet:
-		return p.Dst
-	}
-	return -1
+	return u.net.q.in.classify(nil, p, p.Hop)
 }
 
 func (u *egressUnit) hasCredit(p *pkt.Packet) bool {
@@ -192,50 +161,22 @@ func (u *egressUnit) checkCredits() error {
 	return err
 }
 
-// classify returns the queue an arriving packet goes to. hop indexes
-// the packet's remaining route as seen by the next switch.
-func (u *egressUnit) classify(p *pkt.Packet, hop int) queueHandle {
-	switch u.net.cfg.Policy {
-	case Policy1Q, PolicyVOQsw, PolicyThrottle, PolicyARN:
-		return queueHandle{u.qs.at(0), 0}
-	case Policy4Q:
-		best := 0
-		for i := 1; i < u.qs.len(); i++ {
-			if u.qs.at(i).QueuedBytes() < u.qs.at(best).QueuedBytes() {
-				best = i
-			}
-		}
-		return queueHandle{u.qs.at(best), best}
-	case PolicyVOQnet:
-		return queueHandle{u.qs.get(p.Dst), p.Dst}
-	case PolicyRECN:
-		if s := u.rc.Classify(p.Route, hop); s != nil {
-			return queueHandle{s.Q, -1}
-		}
-		cls := int(p.Class)
-		return queueHandle{u.qs.at(cls), cls}
-	}
-	u.net.fatalf(check.RuleInternal, u.loc(), "unknown policy %v", u.net.cfg.Policy)
-	return queueHandle{}
-}
-
 // admitProbe reports whether a packet can be accepted right now (buffer
 // space only). hop is the route position after this port (p.Hop+1 when
 // probing from the crossbar, p.Hop at a NIC). Probes never materialize
 // a lazy queue — an untouched destination queue answers from the pool
 // headroom alone.
 func (u *egressUnit) admitProbe(p *pkt.Packet, hop int) bool {
-	if u.rc != nil {
-		if s := u.rc.Classify(p.Route, hop); s != nil {
-			return s.Q.CanAccept(p.Size)
-		}
-		return u.qs.at(int(p.Class)).CanAccept(p.Size)
+	return u.qs.admits(u.saq(p, hop), p, hop)
+}
+
+// saq returns the SAQ this port's RECN controller matches for a packet
+// (nil without a match or without a controller).
+func (u *egressUnit) saq(p *pkt.Packet, hop int) *recn.SAQ {
+	if u.rc == nil {
+		return nil
 	}
-	if u.net.cfg.Policy == PolicyVOQnet {
-		return u.qs.canAccept(p.Dst, p.Size)
-	}
-	h := u.classify(p, hop)
-	return h.q.CanAccept(p.Size)
+	return u.rc.Classify(p.Route, hop)
 }
 
 // gated reports the internal Xon/Xoff stop signal of the target SAQ
@@ -251,17 +192,8 @@ func (u *egressUnit) gated(p *pkt.Packet, hop int) bool {
 // from the NIC admittance pump with fromIngress == -1). The packet's
 // Hop must already point at the next switch.
 func (u *egressUnit) storePacket(p *pkt.Packet, fromIngress int) {
-	var s *recn.SAQ
-	var h queueHandle
-	if u.rc != nil {
-		if s = u.rc.Classify(p.Route, p.Hop); s != nil {
-			h = queueHandle{s.Q, -1}
-		} else {
-			h = queueHandle{u.qs.at(int(p.Class)), int(p.Class)}
-		}
-	} else {
-		h = u.classify(p, p.Hop)
-	}
+	s := u.saq(p, p.Hop)
+	h := u.qs.pick(s, p, p.Hop)
 	h.q.Push(p.Size, p)
 	if h.idx >= 0 {
 		u.active.add(h.idx)
@@ -269,15 +201,15 @@ func (u *egressUnit) storePacket(p *pkt.Packet, fromIngress int) {
 	if u.rc != nil {
 		u.rc.OnStored(s, fromIngress, p.Size)
 	}
-	if u.sw != nil && u.net.cfg.Policy == PolicyARN {
+	if u.sw != nil && u.net.q.side == sideSteer {
 		u.updateHint()
 	}
 	u.ch.kick()
 }
 
-// updateHint runs the per-port congestion hysteresis (PolicyARN, switch
-// output ports only) and feeds transitions into the switch-level census
-// that broadcasts hints upstream.
+// updateHint runs the per-port congestion hysteresis (steering
+// sideband, switch output ports only) and feeds transitions into the
+// switch-level census that broadcasts hints upstream.
 func (u *egressUnit) updateHint() {
 	used := u.pool.Used()
 	cfg := &u.net.cfg.ARN
@@ -405,18 +337,8 @@ func (u *egressUnit) grant(h queueHandle, s *recn.SAQ, p *pkt.Packet) *txOrigin 
 		u.active.remove(h.idx)
 	}
 	u.consumeCredit(p)
-	// ECN, marked on dequeue rather than enqueue: the departing packet
-	// carries the congestion bit, so the destination learns about a
-	// full buffer after one path traversal at line rate instead of
-	// after the whole backlog ahead of the packet drains — in a
-	// saturated tree the difference is the feedback loop closing
-	// within the hotspot window versus after the run ends.
-	if u.sw != nil && u.net.cfg.Policy == PolicyThrottle &&
-		!p.Marked && u.pool.Used() >= u.net.cfg.Throttle.MarkBytes {
-		p.Marked = true
-		if u.sc.rec != nil {
-			u.sc.rec.Record(trace.EvMark, u.loc(), "", int64(p.Src), int64(u.pool.Used()), 0)
-		}
+	if u.sw != nil && u.net.q.side == sideECN {
+		u.sc.markECN(p, u.pool.Used(), u.loc())
 	}
 	o := u.sc.allocOrigin()
 	o.p, o.q, o.saq, o.bytes = p, h, s, p.Size
@@ -429,7 +351,7 @@ func (u *egressUnit) txDone(o *txOrigin) {
 	if u.rc != nil {
 		u.rc.OnDrained(o.saq)
 	}
-	if u.sw != nil && u.net.cfg.Policy == PolicyARN {
+	if u.sw != nil && u.net.q.side == sideSteer {
 		u.updateHint()
 	}
 	if u.sw != nil {

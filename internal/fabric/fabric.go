@@ -64,34 +64,22 @@ const (
 var Policies = []Policy{PolicyVOQnet, Policy1Q, PolicyVOQsw, Policy4Q, PolicyRECN, PolicyThrottle, PolicyARN}
 
 func (p Policy) String() string {
-	switch p {
-	case Policy1Q:
-		return "1Q"
-	case Policy4Q:
-		return "4Q"
-	case PolicyVOQsw:
-		return "VOQsw"
-	case PolicyVOQnet:
-		return "VOQnet"
-	case PolicyRECN:
-		return "RECN"
-	case PolicyThrottle:
-		return "throttle"
-	case PolicyARN:
-		return "arn"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if q, ok := p.queuing(); ok {
+		return q.name
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // PreservesOrder reports whether the mechanism keeps each flow's
-// packets in injection order. 4Q spreads a flow across queues by
-// occupancy, and arn re-routes packets mid-flow past queued siblings —
-// both reorder by design (for arn this is the classic adaptive-routing
-// cost the paper's in-order RECN avoids; see DESIGN.md §16). All other
-// mechanisms must deliver in order, and the test battery asserts it.
+// packets in injection order. A least-occupied side (4Q) spreads a
+// flow across queues, and a steering sideband (arn) re-routes packets
+// mid-flow past queued siblings — both reorder by design (for arn this
+// is the classic adaptive-routing cost the paper's in-order RECN
+// avoids; see DESIGN.md §16). All other mechanisms must deliver in
+// order, and the test battery asserts it.
 func (p Policy) PreservesOrder() bool {
-	return p != Policy4Q && p != PolicyARN
+	q, _ := p.queuing()
+	return q.in != classLeastOcc && q.out != classLeastOcc && q.side != sideSteer
 }
 
 // ParsePolicy converts a mechanism name to a Policy (case-insensitive).
@@ -171,13 +159,15 @@ type Config struct {
 	// multiple traffic classes; one is enough for congestion
 	// management). Packets carry a class chosen at injection.
 	TrafficClasses int
-	// RECN holds the controller thresholds (used only by PolicyRECN).
+	// RECN holds the SAQ controller thresholds, read (and validated)
+	// only when the policy allocates SAQs — today PolicyRECN.
 	RECN recn.Config
-	// Throttle holds the ECN/AIMD tunables (used only by
-	// PolicyThrottle).
+	// Throttle holds the ECN/AIMD tunables, read (and validated) only
+	// when the policy's sideband is ECN marking — today PolicyThrottle.
 	Throttle throttle.Config
-	// ARN holds the adaptive-routing hint thresholds (used only by
-	// PolicyARN).
+	// ARN holds the adaptive-routing hint thresholds, read (and
+	// validated) only when the policy's sideband steers — today
+	// PolicyARN.
 	ARN ARNConfig
 	// Faults, when non-nil, injects the plan's faults into the links.
 	// Plans are single-use: a plan already bound to another network is
@@ -235,10 +225,9 @@ func (c *Config) Validate() error {
 	if c.Topo == nil {
 		return fmt.Errorf("fabric: nil topology")
 	}
-	switch c.Policy {
-	case Policy1Q, Policy4Q, PolicyVOQsw, PolicyVOQnet, PolicyRECN, PolicyThrottle, PolicyARN:
-	default:
-		return fmt.Errorf("fabric: unknown policy %v (valid: %s)", c.Policy, PolicyNames())
+	q, err := c.queuing()
+	if err != nil {
+		return err
 	}
 	if c.PacketSize <= 0 || c.PacketSize > c.PortMemory {
 		return fmt.Errorf("fabric: packet size %d vs port memory %d", c.PacketSize, c.PortMemory)
@@ -258,26 +247,37 @@ func (c *Config) Validate() error {
 	if c.TrafficClasses < 1 || c.TrafficClasses > 256 {
 		return fmt.Errorf("fabric: traffic classes %d outside [1, 256]", c.TrafficClasses)
 	}
-	if c.Policy == PolicyRECN {
+	if q.saqs {
 		if err := c.RECN.Validate(); err != nil {
 			return err
 		}
 	}
-	if c.Policy == PolicyThrottle {
+	switch q.side {
+	case sideECN:
 		if err := c.Throttle.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.Policy == PolicyARN {
+	case sideSteer:
 		if err := c.ARN.Validate(); err != nil {
 			return err
 		}
 	}
-	if c.Policy == PolicyVOQnet && c.PortMemory/c.Topo.NumHosts() < c.PacketSize {
-		return fmt.Errorf("fabric: VOQnet queue capacity %d bytes cannot hold a %d-byte packet (raise PortMemory, the paper uses 192 KB for 512 hosts)",
-			c.PortMemory/c.Topo.NumHosts(), c.PacketSize)
+	for _, k := range [...]classKind{q.in, q.out} {
+		if _, qcap := k.plan(c); qcap > 0 && qcap < c.PacketSize {
+			return fmt.Errorf("fabric: %s queue capacity %d bytes cannot hold a %d-byte packet (raise PortMemory, the paper uses 192 KB for 512 hosts under VOQnet)",
+				q.name, qcap, c.PacketSize)
+		}
 	}
 	return nil
+}
+
+// queuing resolves the configured policy's row of the trait table
+// (queuing.go) — the one place the fabric reads Config.Policy.
+func (c *Config) queuing() (queuing, error) {
+	if q, ok := c.Policy.queuing(); ok {
+		return q, nil
+	}
+	return queuing{}, fmt.Errorf("fabric: unknown policy %v (valid: %s)", c.Policy, PolicyNames())
 }
 
 // Network is one fully wired simulation instance. All methods must be
@@ -290,6 +290,8 @@ type Network struct {
 	Engine *sim.Engine
 	cfg    Config
 	topo   Topology
+	// q is the policy's row of the trait table (queuing.go).
+	q queuing
 
 	switches []*Switch
 	nics     []*NIC
@@ -298,7 +300,7 @@ type Network struct {
 	// for the whole fabric instead of one per port. switches/nics and
 	// the units' own pointers index into these; outSlab additionally
 	// holds the NIC injection ports at slots nSwitches*ports+host. The
-	// RECN controller slabs exist only under PolicyRECN.
+	// RECN controller slabs exist only when the policy uses SAQs.
 	swSlab    []Switch
 	inSlab    []ingressUnit
 	outSlab   []egressUnit
@@ -371,6 +373,7 @@ func New(cfg Config) (*Network, error) {
 		cfg:    cfg,
 		topo:   cfg.Topo,
 	}
+	n.q, _ = cfg.queuing()
 	n.base = &shardCtx{
 		n:       n,
 		id:      -1,
@@ -398,7 +401,7 @@ func New(cfg Config) (*Network, error) {
 	n.inSlab = make([]ingressUnit, nSw*ports)
 	n.outSlab = make([]egressUnit, nSw*ports+hosts)
 	n.nicSlab = make([]NIC, hosts)
-	if cfg.Policy == PolicyRECN {
+	if n.q.saqs {
 		n.rcInSlab = make([]recn.Ingress, nSw*ports)
 		n.rcOutSlab = make([]recn.Egress, nSw*ports+hosts)
 	}
@@ -575,7 +578,7 @@ const idleSweepPeriod = 50 * sim.Microsecond
 // scheduleSweep arms the idle-SAQ sweep (deduplicated). Called whenever
 // a SAQ may have been allocated.
 func (n *Network) scheduleSweep() {
-	if n.sweepPending || n.cfg.Policy != PolicyRECN {
+	if n.sweepPending || !n.q.saqs {
 		return
 	}
 	n.sweepPending = true
@@ -584,23 +587,7 @@ func (n *Network) scheduleSweep() {
 
 func (n *Network) runSweep() {
 	n.sweepPending = false
-	for _, sw := range n.switches {
-		for _, in := range sw.in {
-			if in != nil && in.rc != nil {
-				in.rc.SweepIdle()
-			}
-		}
-		for _, out := range sw.out {
-			if out != nil && out.rc != nil {
-				out.rc.SweepIdle()
-			}
-		}
-	}
-	for _, nic := range n.nics {
-		if nic.inj.rc != nil {
-			nic.inj.rc.SweepIdle()
-		}
-	}
+	n.forEachCtl(func(c saqCtl, _ trace.Loc, _ *shardCtx) { c.SweepIdle() })
 	if total, _, _ := n.SAQUsage(); total > 0 {
 		n.sweepPending = true
 		n.Engine.After(idleSweepPeriod, n.runSweepFn)
@@ -652,7 +639,8 @@ func (n *Network) SAQUsage() (total, maxIngress, maxEgress int) {
 // ports). Zero value when the policy is not RECN.
 func (n *Network) RECNStats() recn.Stats {
 	var agg recn.Stats
-	add := func(s recn.Stats) {
+	n.forEachCtl(func(c saqCtl, _ trace.Loc, _ *shardCtx) {
+		s := c.Stats()
 		agg.Allocs += s.Allocs
 		agg.Deallocs += s.Deallocs
 		agg.Refusals += s.Refusals
@@ -662,25 +650,44 @@ func (n *Network) RECNStats() recn.Stats {
 		agg.XonSent += s.XonSent
 		agg.StaleMsgs += s.StaleMsgs
 		agg.MarkersPlaced += s.MarkersPlaced
+	})
+	return agg
+}
+
+// saqCtl is what the network-wide walks need from a RECN controller of
+// either side.
+type saqCtl interface {
+	ActiveSAQs() int
+	CAMUsed() int
+	Materialized() bool
+	Stats() recn.Stats
+	SweepIdle()
+	SetTracer(recn.Tracer)
+}
+
+// forEachCtl visits every RECN controller in construction order — per
+// switch its inputs, then its outputs, then the NIC injection ports —
+// with the owning unit's trace location and shard context. Without
+// SAQs in the policy there is nothing to visit.
+func (n *Network) forEachCtl(fn func(c saqCtl, loc trace.Loc, sc *shardCtx)) {
+	if !n.q.saqs {
+		return
 	}
 	for _, sw := range n.switches {
 		for _, in := range sw.in {
-			if in != nil && in.rc != nil {
-				add(in.rc.Stats())
+			if in != nil {
+				fn(in.rc, in.loc(), in.sc)
 			}
 		}
 		for _, out := range sw.out {
-			if out != nil && out.rc != nil {
-				add(out.rc.Stats())
+			if out != nil {
+				fn(out.rc, out.loc(), out.sc)
 			}
 		}
 	}
 	for _, nic := range n.nics {
-		if nic.inj.rc != nil {
-			add(nic.inj.rc.Stats())
-		}
+		fn(nic.inj.rc, nic.inj.loc(), nic.inj.sc)
 	}
-	return agg
 }
 
 // RootCount returns how many output ports are currently congestion-tree
@@ -757,7 +764,7 @@ func (n *Network) CheckQuiesced() error {
 			}
 		}
 	}
-	if n.cfg.Policy == PolicyARN {
+	if n.q.side == sideSteer {
 		for _, sw := range n.switches {
 			if sw.congOut != 0 {
 				return fmt.Errorf("fabric: switch %d still reports %d congested outputs after quiesce", sw.id, sw.congOut)

@@ -54,6 +54,8 @@ func TestConfigValidation(t *testing.T) {
 		"credit size":     func(c *Config) { c.CreditSize = 0 },
 		"weight":          func(c *Config) { c.NormalWeight = 0 },
 		"recn":            func(c *Config) { c.Policy = PolicyRECN; c.RECN.MaxSAQs = 0 },
+		// A per-output queue owns PortMemory/8 bytes on the 8-port MIN.
+		"voqsw queue cap": func(c *Config) { c.Policy = PolicyVOQsw; c.PacketSize = c.PortMemory/8 + 1 },
 	}
 	for name, mutate := range cases {
 		c := DefaultConfig(topo)

@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"fmt"
-
 	"repro/internal/check"
 	"repro/internal/mempool"
 	"repro/internal/pkt"
@@ -44,8 +42,8 @@ type ingressUnit struct {
 
 // init builds the unit in place (units live in slab arenas — see
 // fabric.New). rc is this port's slot in the RECN controller arena
-// (nil unless PolicyRECN). Construction errors (bad pool capacity)
-// surface through fabric.New's error return.
+// (nil unless the policy uses SAQs). Construction errors (bad pool
+// capacity) surface through fabric.New's error return.
 func (u *ingressUnit) init(net *Network, sw *Switch, port int, rc *recn.Ingress) error {
 	cfg := net.cfg
 	u.net = net
@@ -56,70 +54,15 @@ func (u *ingressUnit) init(net *Network, sw *Switch, port int, rc *recn.Ingress)
 		return err
 	}
 	u.arbitFn = u.arbit
-	nq, qcap := ingressQueuePlan(cfg)
-	u.qs.init(&u.pool, nq, qcap, cfg.Policy == PolicyVOQnet && !cfg.EagerState)
-	u.active.init(nq, !cfg.EagerState)
-	if cfg.Policy == PolicyRECN {
+	u.qs.initSide(&u.pool, net.q.in, &cfg)
+	u.active.init(u.qs.len(), !cfg.EagerState)
+	if rc != nil {
 		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), u, cfg.EagerState); err != nil {
 			return err
 		}
 		u.rc = rc
 	}
 	return nil
-}
-
-// ingressQueuePlan returns the number of policy queues and per-queue
-// cap at an input port for the configured mechanism (paper §4.3).
-func ingressQueuePlan(cfg Config) (n, cap int) {
-	switch cfg.Policy {
-	case Policy1Q, PolicyThrottle, PolicyARN:
-		return 1, 0
-	case PolicyRECN:
-		return cfg.TrafficClasses, 0
-	case Policy4Q:
-		return 4, 0
-	case PolicyVOQsw:
-		ports := cfg.Topo.PortsPerSwitch()
-		return ports, cfg.PortMemory / ports
-	case PolicyVOQnet:
-		hosts := cfg.Topo.NumHosts()
-		return hosts, cfg.PortMemory / hosts
-	default:
-		// Unreachable: Config.Validate rejects unknown policies before
-		// any unit is built.
-		panic(check.NewViolation(check.RuleInternal, trace.NetLoc,
-			fmt.Sprintf("fabric: unknown policy %v", cfg.Policy)))
-	}
-}
-
-// classify returns the queue an arriving packet goes to (p.Hop indexes
-// the turn at this switch).
-func (u *ingressUnit) classify(p *pkt.Packet) (queueHandle, *recn.SAQ) {
-	switch u.net.cfg.Policy {
-	case Policy1Q, PolicyThrottle, PolicyARN:
-		return queueHandle{u.qs.at(0), 0}, nil
-	case Policy4Q:
-		best := 0
-		for i := 1; i < u.qs.len(); i++ {
-			if u.qs.at(i).QueuedBytes() < u.qs.at(best).QueuedBytes() {
-				best = i
-			}
-		}
-		return queueHandle{u.qs.at(best), best}, nil
-	case PolicyVOQsw:
-		idx := int(p.NextTurn())
-		return queueHandle{u.qs.at(idx), idx}, nil
-	case PolicyVOQnet:
-		return queueHandle{u.qs.get(p.Dst), p.Dst}, nil
-	case PolicyRECN:
-		if s := u.rc.Classify(p.Route, p.Hop); s != nil {
-			return queueHandle{s.Q, -1}, s
-		}
-		cls := int(p.Class)
-		return queueHandle{u.qs.at(cls), cls}, nil
-	}
-	u.net.fatalf(check.RuleInternal, u.loc(), "unknown policy %v", u.net.cfg.Policy)
-	return queueHandle{}, nil
 }
 
 // kick schedules an arbitration attempt (deduplicated).
@@ -264,7 +207,7 @@ func (u *ingressUnit) canForward(p *pkt.Packet, fromSAQ bool) bool {
 }
 
 // steer re-aims an ascending packet at the best interchangeable up port
-// (PolicyARN: upN ≥ 2 only under that policy). It only acts when the
+// (upN ≥ 2 only under the steering sideband). It only acts when the
 // deterministic port carries a congestion hint from downstream;
 // alternatives are then scored by local output-buffer occupancy plus a
 // full-buffer penalty on ports that are themselves hinted, with the
@@ -324,7 +267,11 @@ func (u *ingressUnit) arriveData(p *pkt.Packet) {
 	if u.sc.rec != nil {
 		u.sc.rec.RecordPacket(trace.EvRecv, u.loc(), p.ID, p.Size, p.Src, p.Dst)
 	}
-	h, s := u.classify(p)
+	var s *recn.SAQ
+	if u.rc != nil {
+		s = u.rc.Classify(p.Route, p.Hop)
+	}
+	h := u.qs.pick(s, p, p.Hop)
 	h.q.Push(p.Size, p)
 	if h.idx >= 0 {
 		u.active.add(h.idx)

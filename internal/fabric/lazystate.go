@@ -29,12 +29,14 @@ const (
 )
 
 // queueSet is a fixed-size array of policy queues sharing one pool,
-// dense or demand-paged.
+// dense or demand-paged. kind is the port side's class kind (see
+// initSide).
 type queueSet struct {
 	pool   *mempool.Pool
 	n      int
 	qcap   int
 	lazy   bool
+	kind   classKind
 	queues []*mempool.Queue   // dense backing (nil in lazy mode)
 	pages  [][]*mempool.Queue // lazy page table (nil until first touch)
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Modeled per-record sizes for the control-state accounting (bytes).
@@ -69,9 +70,6 @@ func (n *Network) MemStats() stats.MemReport {
 			r.Ports++
 			r.addQueueSet(&in.qs)
 			r.ActiveSlots += in.active.memCount()
-			if in.rc != nil {
-				r.addRC(in.rc.Materialized(), maxSAQs)
-			}
 			r.PoolPeakBytes += int64(in.pool.Peak())
 		}
 		for _, out := range sw.out {
@@ -82,9 +80,6 @@ func (n *Network) MemStats() stats.MemReport {
 			r.addQueueSet(&out.qs)
 			r.ActiveSlots += out.active.memCount()
 			r.CreditSlots += out.queueCredits.memCount()
-			if out.rc != nil {
-				r.addRC(out.rc.Materialized(), maxSAQs)
-			}
 			r.PoolPeakBytes += int64(out.pool.Peak())
 		}
 	}
@@ -93,9 +88,6 @@ func (n *Network) MemStats() stats.MemReport {
 		r.addQueueSet(&nic.inj.qs)
 		r.ActiveSlots += nic.inj.active.memCount()
 		r.CreditSlots += nic.inj.queueCredits.memCount()
-		if nic.inj.rc != nil {
-			r.addRC(nic.inj.rc.Materialized(), maxSAQs)
-		}
 		r.PoolPeakBytes += int64(nic.inj.pool.Peak())
 		r.DestSlots += nic.dests.memCount()
 		r.ActiveSlots += nic.active.memCount()
@@ -103,6 +95,7 @@ func (n *Network) MemStats() stats.MemReport {
 			r.CreditSlots += len(nic.thr.lastCNPAt)
 		}
 	}
+	n.forEachCtl(func(c saqCtl, _ trace.Loc, _ *shardCtx) { r.addRC(c.Materialized(), maxSAQs) })
 	return r.finish()
 }
 
@@ -114,26 +107,27 @@ func (n *Network) MemStats() stats.MemReport {
 // "lazy vs eager" ratio — analytic, so the 4k-host eager fabric never
 // has to be built to be compared against.
 func EagerMemModel(cfg Config) stats.MemReport {
+	q, err := cfg.queuing()
+	if err != nil {
+		panic(err) // callers model a configuration New would accept
+	}
 	var r memAcc
 	topo := cfg.Topo
 	nSw := topo.NumSwitches()
 	ports := topo.PortsPerSwitch()
 	hosts := topo.NumHosts()
-	inN, _ := ingressQueuePlan(cfg)
-	outN, _ := egressQueuePlan(cfg)
+	inN, inCap := q.in.plan(&cfg)
+	outN, _ := q.out.plan(&cfg)
 	creditN := 0
-	switch cfg.Policy {
-	case PolicyVOQsw:
-		creditN = ports
-	case PolicyVOQnet:
-		creditN = hosts
+	if inCap > 0 { // queue-level credits (see egressUnit.attach)
+		creditN = inN
 	}
 	addUnit := func(nq int) {
 		r.Ports++
 		r.Queues += nq
 		r.PtrSlots += nq
 		r.ActiveSlots += nq
-		if cfg.Policy == PolicyRECN {
+		if q.saqs {
 			r.addRC(true, cfg.RECN.MaxSAQs)
 		}
 	}
@@ -157,8 +151,8 @@ func EagerMemModel(cfg Config) stats.MemReport {
 		r.CreditSlots += creditN
 		r.DestSlots += hosts
 		r.ActiveSlots += hosts
-		if cfg.Policy == PolicyThrottle {
-			r.CreditSlots += hosts
+		if q.side == sideECN {
+			r.CreditSlots += hosts // the CNP coalescing clocks
 		}
 	}
 	return r.finish()

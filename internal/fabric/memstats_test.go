@@ -9,28 +9,39 @@ import (
 // An eagerly built network must report, at construction time, exactly
 // the footprint the analytic model predicts — the model is the
 // denominator of every lazy/eager ratio the scaling figure prints, so
-// any drift between the two silently corrupts the figure.
+// any drift between the two silently corrupts the figure. The topology
+// axis pins the credit rule (queue-level credits toward switch peers
+// only) where switch-facing and host-facing port counts differ.
 func TestEagerMemStatsMatchesModel(t *testing.T) {
-	for _, p := range []Policy{
-		Policy1Q, Policy4Q, PolicyVOQsw, PolicyVOQnet,
-		PolicyRECN, PolicyThrottle, PolicyARN,
-	} {
+	topos := []struct {
+		name  string
+		build func() (Topology, error)
+	}{
+		{"min", func() (Topology, error) { return topology.ForHosts(64) }},
+		{"fattree", func() (Topology, error) { return topology.NewFatTree(64) }},
+		{"mesh", func() (Topology, error) { return topology.NewMesh(8, 8) }},
+	}
+	for _, p := range Policies {
 		t.Run(p.String(), func(t *testing.T) {
-			topo, err := topology.ForHosts(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig(topo)
-			cfg.Policy = p
-			cfg.EagerState = true
-			net, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := net.MemStats()
-			want := EagerMemModel(cfg)
-			if got != want {
-				t.Errorf("eager MemStats() = %+v\nEagerMemModel  = %+v", got, want)
+			for _, tp := range topos {
+				t.Run(tp.name, func(t *testing.T) {
+					topo, err := tp.build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := DefaultConfig(topo)
+					cfg.Policy = p
+					cfg.EagerState = true
+					net, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := net.MemStats()
+					want := EagerMemModel(cfg)
+					if got != want {
+						t.Errorf("eager MemStats() = %+v\nEagerMemModel  = %+v", got, want)
+					}
+				})
 			}
 		})
 	}

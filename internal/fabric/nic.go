@@ -151,7 +151,7 @@ type NIC struct {
 	// method value on the hot path.
 	runPumpFn func()
 
-	// thr is the AIMD injection pacer (PolicyThrottle only, else nil —
+	// thr is the AIMD injection pacer (ECN sideband only, else nil —
 	// every hook below costs one nil comparison otherwise).
 	thr *nicThrottle
 	// Prebound event thunks for the pacer (see runPumpFn).
@@ -161,7 +161,7 @@ type NIC struct {
 }
 
 // nicThrottle is one host's end-point congestion-control state
-// (PolicyThrottle): the DCQCN-style loop of ECN marks at congested
+// (the ECN sideband): the DCQCN-style loop of ECN marks at congested
 // switch output buffers, destination-generated CNPs back to the marked
 // source, and a per-source AIMD rate limiter pacing the NIC pump.
 // Everything is integer arithmetic on simulated time, so runs stay
@@ -188,7 +188,7 @@ type nicThrottle struct {
 
 // init builds the NIC in place (NICs live in a slab arena — see
 // fabric.New). inj is the NIC's slot in the egress-unit arena and rc
-// its RECN controller slot (nil unless PolicyRECN).
+// its RECN controller slot (nil unless the policy uses SAQs).
 func (nic *NIC) init(net *Network, host int, inj *egressUnit, rc *recn.Egress) error {
 	hosts := net.topo.NumHosts()
 	sw, port := net.topo.HostAttach(host)
@@ -206,7 +206,7 @@ func (nic *NIC) init(net *Network, host int, inj *egressUnit, rc *recn.Egress) e
 	}
 	nic.inj = inj
 	inj.nic = nic
-	if net.cfg.Policy == PolicyThrottle {
+	if net.q.side == sideECN {
 		nic.thr = &nicThrottle{state: throttle.NewState()}
 		if net.cfg.EagerState {
 			nic.thr.lastCNPAt = make([]sim.Time, hosts)
@@ -355,7 +355,7 @@ func (nic *NIC) runPump() {
 	}
 }
 
-// --- PolicyThrottle: the end-point AIMD pacer ---
+// --- The ECN sideband: the end-point AIMD pacer ---
 
 // paceReady reports whether the pacer allows the next packet now; when
 // not, it arms a single retry at the pacing horizon.

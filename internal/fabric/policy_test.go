@@ -1,11 +1,59 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/throttle"
+	"repro/internal/topology"
 )
+
+// TestPolicyTraits pins the trait table (queuing.go) against the
+// exported policy surface: every listed policy has a row whose name
+// round-trips by name and as text, exactly 4Q and arn reorder, and
+// values outside the table neither panic nor build.
+func TestPolicyTraits(t *testing.T) {
+	if len(queuings) != len(Policies) {
+		t.Fatalf("%d table rows for %d policies", len(queuings), len(Policies))
+	}
+	reorders := map[Policy]bool{Policy4Q: true, PolicyARN: true}
+	for _, p := range Policies {
+		q, ok := p.queuing()
+		if !ok || q.name == "" {
+			t.Fatalf("policy %d has no row", int(p))
+		}
+		if got, err := ParsePolicy(q.name); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v", q.name, got, err)
+		}
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Policy
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("%s: text round trip gave %v, %v", p, back, err)
+		}
+		if p.PreservesOrder() == reorders[p] {
+			t.Errorf("%s: PreservesOrder() = %v", p, p.PreservesOrder())
+		}
+	}
+	topo, err := topology.ForHosts(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Policy{-1, 99} {
+		if s := p.String(); !strings.HasPrefix(s, "Policy(") {
+			t.Errorf("Policy(%d).String() = %q", int(p), s)
+		}
+		_ = p.PreservesOrder()
+		cfg := DefaultConfig(topo)
+		cfg.Policy = p
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+			t.Errorf("New with policy %d: %v", int(p), err)
+		}
+	}
+}
 
 // blast drives a hotspot: each of srcs injects 64-byte packets at full
 // rate toward dst until `until`.

@@ -145,7 +145,7 @@ func (sc *shardCtx) scheduleSweep() {
 		return
 	}
 	n := sc.n
-	if n.cfg.Policy != PolicyRECN || n.sweepPending || sc.sweepDue != 0 {
+	if !n.q.saqs || n.sweepPending || sc.sweepDue != 0 {
 		return
 	}
 	sc.sweepDue = sc.eng.Now() + idleSweepPeriod

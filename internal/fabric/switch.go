@@ -27,12 +27,12 @@ type Switch struct {
 	inBusy  []bool
 	outBusy []bool
 
-	// Adaptive-routing notification state (PolicyARN only; zero
-	// otherwise). upLo/upN is the interchangeable up-port range from the
-	// topology's AlternateRouter capability (upN == 0 when the topology
-	// lacks it or the switch has no alternatives). congOut counts output
-	// ports whose hint is currently on; the 0↔1 transitions broadcast
-	// hint-on/hint-off to every upstream neighbor.
+	// Adaptive-routing notification state (steering sideband only;
+	// zero otherwise). upLo/upN is the interchangeable up-port range
+	// from the topology's AlternateRouter capability (upN == 0 when the
+	// topology lacks it or the switch has no alternatives). congOut
+	// counts output ports whose hint is currently on; the 0↔1
+	// transitions broadcast hint-on/hint-off to every upstream neighbor.
 	upLo, upN int
 	congOut   int
 }
@@ -72,7 +72,7 @@ func (sw *Switch) init(net *Network, id int) error {
 		sw.in[p] = in
 		sw.out[p] = out
 	}
-	if net.cfg.Policy == PolicyARN {
+	if net.q.side == sideSteer {
 		if ar, ok := topo.(AlternateRouter); ok {
 			sw.upLo, sw.upN = ar.UpPortRange(id)
 		}
@@ -196,19 +196,8 @@ func (sw *Switch) startTransfer(in *ingressUnit, h queueHandle, s *recn.SAQ, p *
 	if h.idx >= 0 && h.q.Entries() == 0 {
 		in.active.remove(h.idx)
 	}
-	// ECN at the input side, marked on dequeue: with credit-based flow
-	// control the standing backlog accumulates in input RAM (the
-	// upstream of every saturated link), not in the output queue the
-	// egress-side check watches, so a congested port would otherwise
-	// never mark. Dequeue-time marking puts the bit on a packet that is
-	// about to cross the bottleneck and reach its destination at line
-	// rate, closing the feedback loop within the congestion window.
-	if sw.net.cfg.Policy == PolicyThrottle &&
-		!p.Marked && in.pool.Used() >= sw.net.cfg.Throttle.MarkBytes {
-		p.Marked = true
-		if sw.sc.rec != nil {
-			sw.sc.rec.Record(trace.EvMark, in.loc(), "", int64(p.Src), int64(in.pool.Used()), 0)
-		}
+	if sw.net.q.side == sideECN {
+		sw.sc.markECN(p, in.pool.Used(), in.loc())
 	}
 	dur := units.CrossbarRate.Serialize(p.Size)
 	x := sw.sc.allocXfer()
@@ -225,8 +214,8 @@ func (sw *Switch) completeTransfer(in *ingressUnit, h queueHandle, s *recn.SAQ, 
 	// packet leaves the input port).
 	h.q.ReleaseResident(p.Size)
 	creditQueue := -1
-	if h.idx >= 0 && in.net.cfg.Policy.queueCredits() {
-		creditQueue = h.idx
+	if h.idx >= 0 && in.qs.qcap > 0 {
+		creditQueue = h.idx // queue-level credits (see egressUnit.attach)
 	}
 	in.revCh.pushCredit(p.Size, creditQueue)
 	if in.rc != nil {
@@ -237,9 +226,23 @@ func (sw *Switch) completeTransfer(in *ingressUnit, h queueHandle, s *recn.SAQ, 
 	sw.kickAllInputs()
 }
 
-// queueCredits reports whether the policy uses queue-level credits
-// (paper §4.1: "a credit-based flow control at the queue level has been
-// implemented for the VOQ mechanisms").
-func (p Policy) queueCredits() bool {
-	return p == PolicyVOQsw || p == PolicyVOQnet
+// markECN is the ECN sideband's marking rule, applied as a packet
+// leaves a switch port's RAM: at the crossbar grant on the input side,
+// at the link grant on the output side. Marking on dequeue rather than
+// enqueue puts the bit on a packet about to cross the bottleneck at
+// line rate, so the destination learns of a full buffer after one path
+// traversal instead of after the whole backlog ahead of the packet
+// drains — the feedback loop closes within the hotspot window, not
+// after the run ends. The input side matters as much as the output:
+// with credit-based flow control a saturated link's standing backlog
+// sits in the input RAM upstream of it, which an output-only check
+// never sees.
+func (sc *shardCtx) markECN(p *pkt.Packet, used int, loc trace.Loc) {
+	if p.Marked || used < sc.n.cfg.Throttle.MarkBytes {
+		return
+	}
+	p.Marked = true
+	if sc.rec != nil {
+		sc.rec.Record(trace.EvMark, loc, "", int64(p.Src), int64(used), 0)
+	}
 }

@@ -68,23 +68,7 @@ func (n *Network) installTracer(rec *trace.Recorder) error {
 	}
 	n.rec = rec
 	n.base.rec = rec
-	for _, sw := range n.switches {
-		for _, in := range sw.in {
-			if in != nil && in.rc != nil {
-				in.rc.SetTracer(saqTap{rec, in.loc()})
-			}
-		}
-		for _, out := range sw.out {
-			if out != nil && out.rc != nil {
-				out.rc.SetTracer(saqTap{rec, out.loc()})
-			}
-		}
-	}
-	for _, nic := range n.nics {
-		if nic.inj.rc != nil {
-			nic.inj.rc.SetTracer(saqTap{rec, nic.inj.loc()})
-		}
-	}
+	n.forEachCtl(func(c saqCtl, loc trace.Loc, _ *shardCtx) { c.SetTracer(saqTap{rec, loc}) })
 	if rec.MetricsBin() > 0 {
 		n.buildProbes()
 	}

@@ -60,7 +60,7 @@ func (n *Network) watchdogTick() {
 	}
 	w.lastDelivered = n.DeliveredPackets
 
-	if n.cfg.Policy == PolicyRECN {
+	if n.q.saqs {
 		tokenTicks := rec.Ticks(rec.TokenTimeout)
 		xonTicks := rec.Ticks(rec.XonTimeout)
 		resend := w.ticks%uint64(rec.Ticks(rec.XoffResend)) == 0
@@ -136,7 +136,7 @@ func (n *Network) watchdogTick() {
 }
 
 func (n *Network) saqsLive() bool {
-	if n.cfg.Policy != PolicyRECN {
+	if !n.q.saqs {
 		return false
 	}
 	total, _, _ := n.SAQUsage()

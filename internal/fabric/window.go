@@ -290,23 +290,7 @@ func (n *Network) Shard(k int) (int, error) {
 
 	// Re-point the RECN controller taps at the per-shard rings.
 	if n.rec != nil {
-		for _, sw := range n.switches {
-			for _, in := range sw.in {
-				if in != nil && in.rc != nil {
-					in.rc.SetTracer(saqTap{in.sc.rec, in.loc()})
-				}
-			}
-			for _, out := range sw.out {
-				if out != nil && out.rc != nil {
-					out.rc.SetTracer(saqTap{out.sc.rec, out.loc()})
-				}
-			}
-		}
-		for _, nic := range n.nics {
-			if nic.inj.rc != nil {
-				nic.inj.rc.SetTracer(saqTap{nic.sc.rec, nic.inj.loc()})
-			}
-		}
+		n.forEachCtl(func(c saqCtl, loc trace.Loc, sc *shardCtx) { c.SetTracer(saqTap{sc.rec, loc}) })
 	}
 
 	n.shards = shards
