@@ -27,9 +27,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/fabric"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -265,5 +268,143 @@ func TestDispatchGoldenPolicies(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// dispatchGoldenFile holds the dispatch pins kept as line rows, one
+// per cell: "<cell> <stream digest> <executed> <injected> <delivered>
+// <delivered bytes>".
+const dispatchGoldenFile = "dispatch.txt"
+
+// dispatchRow is one pinned cell's row (the cell name aside).
+type dispatchRow struct {
+	stream                                        string
+	executed, injected, delivered, deliveredBytes uint64
+}
+
+func (r dispatchRow) String() string {
+	return fmt.Sprintf("%s %d %d %d %d", r.stream, r.executed, r.injected, r.delivered, r.deliveredBytes)
+}
+
+// goldenMu serializes the read-modify-write of the golden file across
+// parallel subtests.
+var goldenMu sync.Mutex
+
+// pinDispatch checks a cell's row against the golden file; with
+// UPDATE_DISPATCH_GOLDEN set it rewrites that row instead, keeping every
+// other row.
+func pinDispatch(t *testing.T, cell string, got dispatchRow) {
+	t.Helper()
+	path := filepath.Join("testdata", dispatchGoldenFile)
+	line := cell + " " + got.String()
+	goldenMu.Lock()
+	defer goldenMu.Unlock()
+	rows := map[string]string{}
+	if data, err := os.ReadFile(path); err == nil {
+		for _, l := range strings.Split(string(data), "\n") {
+			if fs := strings.Fields(l); len(fs) == 6 && !strings.HasPrefix(fs[0], "#") {
+				rows[fs[0]] = l
+			}
+		}
+	} else if os.Getenv("UPDATE_DISPATCH_GOLDEN") == "" {
+		t.Fatalf("missing golden %s (regenerate with UPDATE_DISPATCH_GOLDEN=1): %v", path, err)
+	}
+	if os.Getenv("UPDATE_DISPATCH_GOLDEN") == "" {
+		if rows[cell] != line {
+			t.Fatalf("dispatch stream moved:\n got  %s\n want %s", line, rows[cell])
+		}
+		return
+	}
+	rows[cell] = line
+	lines := make([]string, 0, len(rows))
+	for _, l := range rows {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	data := "# <cell> <stream digest> <executed> <injected> <delivered> <delivered bytes>\n" +
+		strings.Join(lines, "\n") + "\n"
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDispatchGoldenDrivers pins the periodic drivers — idle-SAQ sweep,
+// recovery watchdog, trace metrics sampler and invariant checker — all
+// on at once, serial and on the windowed runtime, where the coordinator
+// engine runs nothing else. RECN on the per-policy pin's workload is
+// drained, so the row also pins that every driver stops re-arming. The
+// digest covers the dispatch stream of net.Engine, the audit count,
+// the metrics registry (every series' bins) and the fault report: the
+// drivers' work as well as their timing.
+func TestDispatchGoldenDrivers(t *testing.T) {
+	c, err := traffic.Corner(2, 64, 64, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.HotStart, c.HotEnd, c.SimEnd = 2*sim.Microsecond, 30*sim.Microsecond, 40*sim.Microsecond
+	for _, shards := range []int{0, 1, 2} {
+		cell := "drivers/serial"
+		if shards > 0 {
+			cell = fmt.Sprintf("drivers/shards%d", shards)
+		}
+		t.Run(cell[len("drivers/"):], func(t *testing.T) {
+			t.Parallel()
+			cfg := fabric.DefaultConfig(min64(t))
+			cfg.Policy = fabric.PolicyRECN
+			cfg.Recovery = fault.Recovery{Enabled: true, Period: 2 * sim.Microsecond}
+			cfg.Tracer = trace.New(trace.Config{MetricsBin: sim.Microsecond})
+			chk := check.New(check.Config{})
+			cfg.Checker = chk
+			net, err := fabric.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards > 0 {
+				if _, err := net.Shard(shards); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stream := fnv.New64a()
+			var buf [16]byte
+			net.Engine.SetDispatchProbe(func(at sim.Time, seq uint64) {
+				binary.LittleEndian.PutUint64(buf[:8], uint64(at))
+				binary.LittleEndian.PutUint64(buf[8:], seq)
+				stream.Write(buf[:])
+			})
+			if err := c.Install(net.Traffic()); err != nil {
+				t.Fatal(err)
+			}
+			if shards > 0 {
+				net.RunWindowed(c.SimEnd)
+				net.DrainWindowed()
+			} else {
+				net.Engine.Run(c.SimEnd)
+				net.Engine.Drain()
+			}
+			if err := net.InjectErr(); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.FinalCheck(); err != nil {
+				t.Fatal(err)
+			}
+			samples := 0
+			net.Tracer().Metrics().Each(func(s *trace.TimeSeries) {
+				samples += s.Bins()
+				fmt.Fprintf(stream, "%s:", s.Name())
+				for i := 0; i < s.Bins(); i++ {
+					fmt.Fprintf(stream, "%g,", s.At(i))
+				}
+			})
+			if chk.Audits == 0 || samples == 0 {
+				t.Fatalf("drivers idle: %d audits, %d metric samples", chk.Audits, samples)
+			}
+			g := dispatchRow{
+				executed: net.Engine.Executed, injected: net.InjectedPackets,
+				delivered: net.DeliveredPackets, deliveredBytes: net.DeliveredBytes,
+			}
+			fmt.Fprintf(stream, "%d|%d|%d|%d|%+v", g.executed, g.delivered, chk.Audits, samples, *net.FaultReport())
+			g.stream = fmt.Sprintf("%016x", stream.Sum64())
+			pinDispatch(t, cell, g)
+		})
 	}
 }
