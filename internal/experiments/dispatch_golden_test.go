@@ -3,22 +3,22 @@ package experiments
 // Determinism regression for the event scheduler: the exact dispatch
 // order of the simulator is part of the reproduction contract (the
 // serial-vs-parallel sweep goldens, the trace (time, seq) stamps and
-// the run cache all assume it is stable). These tests pin the first N
-// (time, scheduling-sequence) dispatch pairs and a checksum of the
-// final run statistics for the Figure 2 and Figure 3 seed workloads
-// against goldens captured from the pre-rewrite container/heap
-// scheduler, so any replacement heap must reproduce its order
-// bit-identically.
+// the run cache all assume it is stable). Each pinned cell hashes every
+// dispatched (time, scheduling-sequence) pair of a run and keeps the
+// digest, with the run's executed, injected and delivered counts, as
+// one row of testdata/dispatch.txt: the Figure 2 and Figure 3 seeds
+// (captured from the pre-rewrite container/heap scheduler), the
+// shoot-out seeds, every policy on every topology, and the periodic
+// drivers serial and windowed.
 //
 // Regenerate with UPDATE_DISPATCH_GOLDEN=1 go test -run DispatchGolden
 // ./internal/experiments (only legitimate when the model itself — not
 // the scheduler — changes event order).
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -36,38 +36,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// dispatchGolden is the serialized capture of one pinned run.
-type dispatchGolden struct {
-	// Pairs holds the first maxDispatchPairs dispatched events as
-	// (simulation time in ps, scheduling sequence) pairs.
-	Pairs [][2]int64 `json:"pairs"`
-	// Executed / FinalNow / Injected / Delivered / DeliveredBytes
-	// summarize the completed run.
-	Executed       uint64 `json:"executed"`
-	FinalNow       int64  `json:"final_now_ps"`
-	Injected       uint64 `json:"injected_packets"`
-	Delivered      uint64 `json:"delivered_packets"`
-	DeliveredBytes uint64 `json:"delivered_bytes"`
-	// Checksum is an FNV-64a hash over all of the above, including
-	// every captured pair.
-	Checksum string `json:"checksum"`
-	// stream is an FNV-64a hash over every dispatched pair (not only
-	// the first maxDispatchPairs) followed by Executed and Delivered:
-	// the per-policy pin's cell digest.
-	stream string
-}
-
-const maxDispatchPairs = 5000
-
-func (g *dispatchGolden) seal() {
-	h := fnv.New64a()
-	for _, p := range g.Pairs {
-		fmt.Fprintf(h, "%d:%d;", p[0], p[1])
-	}
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d", g.Executed, g.FinalNow, g.Injected, g.Delivered, g.DeliveredBytes)
-	g.Checksum = fmt.Sprintf("%016x", h.Sum64())
-}
-
 // min64 is the paper's 64-host perfect-shuffle MIN, the topology of
 // every single-policy dispatch golden.
 func min64(t *testing.T) fabric.Topology {
@@ -79,10 +47,24 @@ func min64(t *testing.T) fabric.Topology {
 	return topo
 }
 
+// hashDispatch hashes every (time, seq) pair an engine dispatches.
+func hashDispatch(eng *sim.Engine) hash.Hash64 {
+	h := fnv.New64a()
+	var buf [16]byte
+	eng.SetDispatchProbe(func(at sim.Time, seq uint64) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(at))
+		binary.LittleEndian.PutUint64(buf[8:], seq)
+		h.Write(buf[:])
+	})
+	return h
+}
+
 // captureDispatch mirrors Run.Execute's network construction with a
-// dispatch probe attached, running the workload to the horizon.
+// dispatch probe attached, running the workload to the horizon. The
+// row's digest hashes every dispatched pair followed by the executed
+// and delivered counts.
 func captureDispatch(t *testing.T, topo fabric.Topology, policy fabric.Policy, mutate func(*fabric.Config),
-	workload func(traffic.Network) error, until sim.Time) *dispatchGolden {
+	workload func(traffic.Network) error, until sim.Time) dispatchRow {
 	t.Helper()
 	cfg := fabric.DefaultConfig(topo)
 	cfg.Policy = policy
@@ -93,17 +75,7 @@ func captureDispatch(t *testing.T, topo fabric.Topology, policy fabric.Policy, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &dispatchGolden{}
-	stream := fnv.New64a()
-	var buf [16]byte
-	net.Engine.SetDispatchProbe(func(at sim.Time, seq uint64) {
-		if len(g.Pairs) < maxDispatchPairs {
-			g.Pairs = append(g.Pairs, [2]int64{int64(at), int64(seq)})
-		}
-		binary.LittleEndian.PutUint64(buf[:8], uint64(at))
-		binary.LittleEndian.PutUint64(buf[8:], seq)
-		stream.Write(buf[:])
-	})
+	stream := hashDispatch(net.Engine)
 	if err := workload(net.Traffic()); err != nil {
 		t.Fatal(err)
 	}
@@ -111,54 +83,13 @@ func captureDispatch(t *testing.T, topo fabric.Topology, policy fabric.Policy, m
 	if err := net.InjectErr(); err != nil {
 		t.Fatal(err)
 	}
-	g.Executed = net.Engine.Executed
-	g.FinalNow = int64(net.Engine.Now())
-	g.Injected = net.InjectedPackets
-	g.Delivered = net.DeliveredPackets
-	g.DeliveredBytes = net.DeliveredBytes
-	g.seal()
-	fmt.Fprintf(stream, "%d|%d", g.Executed, g.Delivered)
+	g := dispatchRow{
+		executed: net.Engine.Executed, injected: net.InjectedPackets,
+		delivered: net.DeliveredPackets, deliveredBytes: net.DeliveredBytes,
+	}
+	fmt.Fprintf(stream, "%d|%d", g.executed, g.delivered)
 	g.stream = fmt.Sprintf("%016x", stream.Sum64())
 	return g
-}
-
-func checkDispatchGolden(t *testing.T, name string, got *dispatchGolden) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("UPDATE_DISPATCH_GOLDEN") != "" {
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s (%d pairs, checksum %s)", path, len(got.Pairs), got.Checksum)
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (regenerate with UPDATE_DISPATCH_GOLDEN=1): %v", path, err)
-	}
-	var want dispatchGolden
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if got.Checksum != want.Checksum {
-		// Find the first diverging pair for a useful failure message.
-		n := len(want.Pairs)
-		if len(got.Pairs) < n {
-			n = len(got.Pairs)
-		}
-		for i := 0; i < n; i++ {
-			if got.Pairs[i] != want.Pairs[i] {
-				t.Fatalf("dispatch order diverged at event %d: got (t=%d, seq=%d), want (t=%d, seq=%d)",
-					i, got.Pairs[i][0], got.Pairs[i][1], want.Pairs[i][0], want.Pairs[i][1])
-			}
-		}
-		t.Fatalf("dispatch checksum %s != golden %s (pairs identical through %d; executed %d vs %d, delivered %d vs %d)",
-			got.Checksum, want.Checksum, n, got.Executed, want.Executed, got.Delivered, want.Delivered)
-	}
 }
 
 // TestDispatchGoldenFig2 pins the scheduler's dispatch order on the
@@ -168,104 +99,96 @@ func TestDispatchGoldenFig2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureDispatch(t, min64(t), fabric.PolicyRECN, nil, workload, until)
-	checkDispatchGolden(t, "dispatch_fig2.json", got)
+	pinDispatch(t, "fig2", captureDispatch(t, min64(t), fabric.PolicyRECN, nil, workload, until))
 }
 
 // TestDispatchGoldenFig3 pins the dispatch order on the Figure 3 SAN
 // trace seed (cello model, compression 20) under RECN.
 func TestDispatchGoldenFig3(t *testing.T) {
 	workload, until := CelloWorkload(20, 0.25)
-	got := captureDispatch(t, min64(t), fabric.PolicyRECN, celloMutate, workload, until)
-	checkDispatchGolden(t, "dispatch_fig3.json", got)
+	pinDispatch(t, "fig3", captureDispatch(t, min64(t), fabric.PolicyRECN, celloMutate, workload, until))
 }
 
-// policyGoldenFile pins TestDispatchGoldenPolicies: one line per
-// (topology, policy) cell, "<topo> <policy> <stream digest> <executed>
-// <delivered>".
-const policyGoldenFile = "dispatch_policies.txt"
-
-// TestDispatchGoldenPolicies pins the complete dispatch stream of every
-// policy on every topology: corner case 2 on 64 hosts, its hotspot
-// moved to 2–30 µs of a 40 µs run. The window is long enough for each
-// mechanism's own machinery to act (SAQs, ECN marks, steering hints),
-// so no two cells share a digest; at the shorter horizon of scale 0.01
-// RECN, throttle and arn all hash equal to 1Q. -short runs the MIN row.
-func TestDispatchGoldenPolicies(t *testing.T) {
+// policyWorkload is the per-policy pin's workload: corner case 2 on 64
+// hosts, its hotspot moved to 2–30 µs of a 40 µs run.
+func policyWorkload(t *testing.T) traffic.CornerCase {
+	t.Helper()
 	c, err := traffic.Corner(2, 64, 64, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.HotStart, c.HotEnd, c.SimEnd = 2*sim.Microsecond, 30*sim.Microsecond, 40*sim.Microsecond
-	topos := []struct {
-		name  string
-		build func() (fabric.Topology, error)
-	}{
-		{"min", func() (fabric.Topology, error) { return topology.ForHosts(64) }},
-		{"fattree", func() (fabric.Topology, error) { return topology.NewFatTree(64) }},
-		{"mesh", func() (fabric.Topology, error) { return topology.NewMesh(8, 8) }},
-	}
+	return c
+}
+
+// policyTopos are the per-policy pin's topologies, MIN first (-short
+// runs that row only).
+var policyTopos = []struct {
+	name  string
+	build func() (fabric.Topology, error)
+}{
+	{"min", func() (fabric.Topology, error) { return topology.ForHosts(64) }},
+	{"fattree", func() (fabric.Topology, error) { return topology.NewFatTree(64) }},
+	{"mesh", func() (fabric.Topology, error) { return topology.NewMesh(8, 8) }},
+}
+
+func shortTopos() int {
 	if testing.Short() {
-		topos = topos[:1]
+		return 1
 	}
-	path := filepath.Join("testdata", policyGoldenFile)
-	update := os.Getenv("UPDATE_DISPATCH_GOLDEN") != ""
-	want := map[string]string{}
-	var mu sync.Mutex
-	if update {
-		if testing.Short() {
-			t.Fatal("regenerate the per-policy golden without -short")
-		}
-		// Subtests run in parallel, so the file is written once they
-		// have all finished.
-		t.Cleanup(func() {
-			lines := make([]string, 0, len(want))
-			for _, l := range want {
-				lines = append(lines, l)
-			}
-			sort.Strings(lines)
-			data := "# TestDispatchGoldenPolicies: <topo> <policy> <stream digest> <executed> <delivered>\n" +
-				strings.Join(lines, "\n") + "\n"
-			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-				t.Error(err)
-			}
-		})
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("missing golden %s (regenerate with UPDATE_DISPATCH_GOLDEN=1): %v", path, err)
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if fs := strings.Fields(sc.Text()); len(fs) == 5 && !strings.HasPrefix(fs[0], "#") {
-				want[fs[0]+" "+fs[1]] = sc.Text()
-			}
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tp := range topos {
+	return len(policyTopos)
+}
+
+// TestDispatchGoldenPolicies pins the complete dispatch stream of every
+// policy on every topology (cells "policies/<topo>/<policy>") under
+// policyWorkload. The window is long enough for each mechanism's own
+// machinery to act (SAQs, ECN marks, steering hints), so no two cells
+// share a digest; at the shorter horizon of scale 0.01 RECN, throttle
+// and arn all hash equal to 1Q. -short runs the MIN row.
+func TestDispatchGoldenPolicies(t *testing.T) {
+	c := policyWorkload(t)
+	for _, tp := range policyTopos[:shortTopos()] {
 		for _, p := range fabric.Policies {
-			key := tp.name + " " + p.String()
 			t.Run(tp.name+"/"+p.String(), func(t *testing.T) {
 				t.Parallel()
 				topo, err := tp.build()
 				if err != nil {
 					t.Fatal(err)
 				}
-				g := captureDispatch(t, topo, p, nil, c.Install, c.SimEnd)
-				line := fmt.Sprintf("%s %s %d %d", key, g.stream, g.Executed, g.Delivered)
-				mu.Lock()
-				defer mu.Unlock()
-				if update {
-					want[key] = line
-					return
+				pinDispatch(t, "policies/"+tp.name+"/"+p.String(), captureDispatch(t, topo, p, nil, c.Install, c.SimEnd))
+			})
+		}
+	}
+}
+
+// TestDispatchGoldenCollapse: with its congestion thresholds out of
+// reach, each mechanism never engages and must dispatch exactly what 1Q
+// does — RECN never allocates a SAQ, throttle never marks, arn never
+// raises a hint. Each cell must equal its topology's committed 1Q row.
+// -short runs the MIN row.
+func TestDispatchGoldenCollapse(t *testing.T) {
+	const never = 1 << 40
+	c := policyWorkload(t)
+	cells := []struct {
+		policy fabric.Policy
+		mutate func(*fabric.Config)
+	}{
+		{fabric.PolicyRECN, func(cfg *fabric.Config) {
+			cfg.RECN.DetectBytes, cfg.RECN.PropagateBytes, cfg.RECN.XoffBytes = never, never, never
+		}},
+		{fabric.PolicyThrottle, func(cfg *fabric.Config) { cfg.Throttle.MarkBytes = never }},
+		{fabric.PolicyARN, func(cfg *fabric.Config) { cfg.ARN.HintOnBytes = never }},
+	}
+	for _, tp := range policyTopos[:shortTopos()] {
+		for _, cell := range cells {
+			t.Run(tp.name+"/"+cell.policy.String(), func(t *testing.T) {
+				t.Parallel()
+				topo, err := tp.build()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if want[key] != line {
-					t.Fatalf("dispatch stream moved:\n got  %s\n want %s", line, want[key])
-				}
+				got := captureDispatch(t, topo, cell.policy, cell.mutate, c.Install, c.SimEnd)
+				checkDispatch(t, "policies/"+tp.name+"/1Q", got, false)
 			})
 		}
 	}
@@ -295,6 +218,13 @@ var goldenMu sync.Mutex
 // other row.
 func pinDispatch(t *testing.T, cell string, got dispatchRow) {
 	t.Helper()
+	checkDispatch(t, cell, got, os.Getenv("UPDATE_DISPATCH_GOLDEN") != "")
+}
+
+// checkDispatch is pinDispatch with the update switch explicit: a test
+// that compares a run against another cell's row must never rewrite it.
+func checkDispatch(t *testing.T, cell string, got dispatchRow, update bool) {
+	t.Helper()
 	path := filepath.Join("testdata", dispatchGoldenFile)
 	line := cell + " " + got.String()
 	goldenMu.Lock()
@@ -306,10 +236,10 @@ func pinDispatch(t *testing.T, cell string, got dispatchRow) {
 				rows[fs[0]] = l
 			}
 		}
-	} else if os.Getenv("UPDATE_DISPATCH_GOLDEN") == "" {
+	} else if !update {
 		t.Fatalf("missing golden %s (regenerate with UPDATE_DISPATCH_GOLDEN=1): %v", path, err)
 	}
-	if os.Getenv("UPDATE_DISPATCH_GOLDEN") == "" {
+	if !update {
 		if rows[cell] != line {
 			t.Fatalf("dispatch stream moved:\n got  %s\n want %s", line, rows[cell])
 		}
@@ -337,11 +267,7 @@ func pinDispatch(t *testing.T, cell string, got dispatchRow) {
 // the metrics registry (every series' bins) and the fault report: the
 // drivers' work as well as their timing.
 func TestDispatchGoldenDrivers(t *testing.T) {
-	c, err := traffic.Corner(2, 64, 64, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.HotStart, c.HotEnd, c.SimEnd = 2*sim.Microsecond, 30*sim.Microsecond, 40*sim.Microsecond
+	c := policyWorkload(t)
 	for _, shards := range []int{0, 1, 2} {
 		cell := "drivers/serial"
 		if shards > 0 {
@@ -364,13 +290,7 @@ func TestDispatchGoldenDrivers(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			stream := fnv.New64a()
-			var buf [16]byte
-			net.Engine.SetDispatchProbe(func(at sim.Time, seq uint64) {
-				binary.LittleEndian.PutUint64(buf[:8], uint64(at))
-				binary.LittleEndian.PutUint64(buf[8:], seq)
-				stream.Write(buf[:])
-			})
+			stream := hashDispatch(net.Engine)
 			if err := c.Install(net.Traffic()); err != nil {
 				t.Fatal(err)
 			}

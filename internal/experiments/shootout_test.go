@@ -80,7 +80,7 @@ func TestShootoutFigureIdentity(t *testing.T) {
 
 // TestDispatchGoldenThrottle / ...ARN pin the serial dispatch order of
 // the shoot-out's corner-case-2 seed under each new policy, exactly as
-// the Fig2/Fig3 goldens do for RECN: the CNP ScheduleRemote path and
+// the fig2/fig3 rows do for RECN: the CNP ScheduleRemote path and
 // the hint broadcast path both inject events, and their order is part
 // of the reproduction contract.
 func TestDispatchGoldenThrottle(t *testing.T) {
@@ -88,8 +88,7 @@ func TestDispatchGoldenThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureDispatch(t, min64(t), fabric.PolicyThrottle, nil, workload, until)
-	checkDispatchGolden(t, "dispatch_shootout_throttle.json", got)
+	pinDispatch(t, "shootout/throttle", captureDispatch(t, min64(t), fabric.PolicyThrottle, nil, workload, until))
 }
 
 func TestDispatchGoldenARN(t *testing.T) {
@@ -97,8 +96,7 @@ func TestDispatchGoldenARN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := captureDispatch(t, min64(t), fabric.PolicyARN, nil, workload, until)
-	checkDispatchGolden(t, "dispatch_shootout_arn.json", got)
+	pinDispatch(t, "shootout/arn", captureDispatch(t, min64(t), fabric.PolicyARN, nil, workload, until))
 }
 
 func TestValidatePolicyOptions(t *testing.T) {
