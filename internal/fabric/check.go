@@ -38,14 +38,9 @@ import (
 
 // checkerState is the audit tick's bookkeeping on the Network.
 type checkerState struct {
-	pending bool
 	// lastDelivered/lastProgressAt drive the livelock detector.
 	lastDelivered  uint64
 	lastProgressAt sim.Time
-	// dead stops rescheduling after a collected livelock violation so a
-	// dead network's event queue still drains (and FinalCheck reports
-	// the deadlock).
-	dead bool
 }
 
 // saqRanger is the part of the RECN controller interface the audits
@@ -83,36 +78,23 @@ func (n *Network) checkSnapshot(w io.Writer) {
 	n.DumpCongestion(w)
 }
 
-// armChecker starts the periodic audit (deduplicated). Called on every
-// injection, like the watchdog and the metrics sampler; the audit
-// self-reschedules only while the network has packets or SAQs in
-// flight, so Engine.Drain terminates.
-func (n *Network) armChecker() {
-	if n.check == nil || n.checkState.pending || n.checkState.dead {
-		return
-	}
-	n.checkState.pending = true
+// checkBaseline is the checker driver's arm hook: the livelock window
+// starts at the arm instant.
+func (n *Network) checkBaseline(at sim.Time) {
 	n.checkState.lastDelivered = n.DeliveredPackets
-	n.checkState.lastProgressAt = n.Engine.Now()
-	n.Engine.After(n.check.Period(), n.checkTickFn)
+	n.checkState.lastProgressAt = at
 }
 
-func (n *Network) checkTick() {
-	st := &n.checkState
-	st.pending = false
+// checkTick is the checker driver's tick (periodic.go): it recurs only
+// while the network has packets or SAQs in flight.
+func (n *Network) checkTick() bool {
 	n.auditConservation()
 	n.auditCreditBounds()
 	n.auditSAQLifecycle()
 	n.auditThrottle()
 	n.auditLivelock()
 	n.check.CountAudit()
-	if st.dead {
-		return
-	}
-	if n.PendingPackets() > 0 || n.saqsLive() {
-		st.pending = true
-		n.Engine.After(n.check.Period(), n.checkTickFn)
-	}
+	return n.PendingPackets() > 0 || n.saqsLive()
 }
 
 // queuedPackets counts every packet currently held in a port's queues
@@ -251,8 +233,8 @@ func (n *Network) auditThrottle() {
 // with packets pending but nothing delivered for a full window —
 // subsuming the watchdog's stall counter with a hard failure once the
 // recovery layer's repairs have clearly not helped. After a collected
-// violation the audit stops rescheduling so a dead network's event
-// queue still drains.
+// violation the checker driver turns off so a dead network's event
+// queue still drains (and FinalCheck reports the deadlock).
 func (n *Network) auditLivelock() {
 	st := &n.checkState
 	now := n.Engine.Now()
@@ -269,7 +251,7 @@ func (n *Network) auditLivelock() {
 		n.check.Failf(check.RuleLivelock, trace.NetLoc,
 			"%d packets pending, no delivery for %v; wait cycle: %s",
 			n.PendingPackets(), n.check.LivelockWindow(), cycle)
-		st.dead = true
+		n.drivers[drvChecker].period = 0
 	}
 }
 

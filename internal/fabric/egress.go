@@ -390,7 +390,7 @@ func (u *egressUnit) NotifyIngress(ingress int, path pkt.Path) bool {
 		// arbiter runs so it can be peeled even if no further packets
 		// arrive at that port.
 		in.kick()
-		u.sc.scheduleSweep()
+		u.sc.arm(drvSweep)
 	}
 	return ok
 }

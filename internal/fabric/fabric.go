@@ -308,8 +308,6 @@ type Network struct {
 	rcInSlab  []recn.Ingress
 	rcOutSlab []recn.Egress
 
-	sweepPending bool
-
 	// base is the legacy/coordinator shard context: it aliases Engine
 	// and the embedded aggregate counters, and owns the free-lists in
 	// legacy mode. shards/group exist only after Shard (windowed mode).
@@ -329,17 +327,12 @@ type Network struct {
 	// network-wide view's (nil until Traffic is first called).
 	injectErr []error
 
-	// Prebound periodic-event thunks: binding the method values once at
-	// construction keeps the rearm paths allocation-free.
-	runSweepFn     func()
-	watchdogTickFn func()
-	traceSampleFn  func()
-	checkTickFn    func()
+	// drivers is the periodic-driver table (periodic.go).
+	drivers [numDrivers]driver
 
 	// Flight recorder (nil when tracing is disabled).
-	rec            *trace.Recorder
-	probes         []traceProbe
-	samplerPending bool
+	rec    *trace.Recorder
+	probes []traceProbe
 
 	// Fault injection and recovery (nil / zero when disabled).
 	faults   *fault.Plan
@@ -381,10 +374,6 @@ func New(cfg Config) (*Network, error) {
 		cnt:     &n.netCounters,
 		lastSeq: make(map[uint64]uint64),
 	}
-	n.runSweepFn = n.runSweep
-	n.watchdogTickFn = n.watchdogTick
-	n.traceSampleFn = n.traceSample
-	n.checkTickFn = n.checkTick
 	// Construction and wiring order is load-bearing: switches, NICs and
 	// (transitively) channels live in slices iterated by index, never in
 	// maps, so unit creation order — and with it every derived identity
@@ -464,6 +453,7 @@ func New(cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
+	n.initDrivers()
 	return n, nil
 }
 
@@ -557,41 +547,24 @@ func (n *Network) InjectMessageClass(src, dst, size int, class uint8) error {
 	if err := nic.injectMessage(dst, size, class); err != nil {
 		return err
 	}
-	if nic.sc.sharded {
-		// Windowed mode: record arm requests for the coordinator-run
-		// periodic drivers; the barrier collects and schedules them.
-		nic.sc.armSharded()
-		return nil
+	// Every driver but the sweep, which SAQ allocation arms.
+	for id := drvWatchdog; id < numDrivers; id++ {
+		nic.sc.arm(id)
 	}
-	n.armWatchdog()
-	n.armTraceSampler()
-	n.armChecker()
 	return nil
 }
 
 // idleSweepPeriod is how often idle never-used SAQs are collected so
 // their tokens return and congestion trees can collapse (see
-// recn.SweepIdle). Sweeps self-schedule only while SAQs exist, so a
-// quiescent network drains its event queue.
+// recn.SweepIdle). Sweeps recur only while SAQs exist, so a quiescent
+// network drains its event queue.
 const idleSweepPeriod = 50 * sim.Microsecond
 
-// scheduleSweep arms the idle-SAQ sweep (deduplicated). Called whenever
-// a SAQ may have been allocated.
-func (n *Network) scheduleSweep() {
-	if n.sweepPending || !n.q.saqs {
-		return
-	}
-	n.sweepPending = true
-	n.Engine.After(idleSweepPeriod, n.runSweepFn)
-}
-
-func (n *Network) runSweep() {
-	n.sweepPending = false
+// runSweep is the sweep driver's tick (periodic.go).
+func (n *Network) runSweep() bool {
 	n.forEachCtl(func(c saqCtl, _ trace.Loc, _ *shardCtx) { c.SweepIdle() })
-	if total, _, _ := n.SAQUsage(); total > 0 {
-		n.sweepPending = true
-		n.Engine.After(idleSweepPeriod, n.runSweepFn)
-	}
+	total, _, _ := n.SAQUsage()
+	return total > 0
 }
 
 // SAQUsage returns the current total number of allocated SAQs in the

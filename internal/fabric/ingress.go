@@ -305,7 +305,7 @@ func (u *ingressUnit) arriveCtl(m recn.CtlMsg) {
 			// sure the arbiter runs so it can be peeled even if no
 			// further packets arrive.
 			out.ch.kick()
-			u.sc.scheduleSweep()
+			u.sc.arm(drvSweep)
 		}
 	case recn.MsgXoff:
 		out := u.sw.out[u.port]

@@ -484,7 +484,7 @@ func (nic *NIC) arriveCtl(m recn.CtlMsg) {
 		// A marker may now sit in the injection normal queue; run the
 		// arbiter so it gets peeled even with no new injections.
 		nic.inj.ch.kick()
-		nic.sc.scheduleSweep()
+		nic.sc.arm(drvSweep)
 	case recn.MsgXoff:
 		nic.inj.rc.OnXoffFromDownstream(m.Path)
 	case recn.MsgXon:

@@ -98,15 +98,9 @@ type shardCtx struct {
 	// order (see window.go).
 	outbox []mailMsg
 
-	// Periodic-driver arm requests recorded during a window and
-	// collected by the coordinator at the next barrier (0 = none).
-	// Taking the minimum over shards at the barrier reproduces the
-	// legacy "arm at the first qualifying injection" semantics
-	// independently of the shard count.
-	sweepDue   sim.Time
-	wdDue      sim.Time
-	samplerDue sim.Time
-	checkDue   sim.Time
+	// due holds the periodic-driver arm requests recorded during a
+	// window (0 = none), folded by collectDues at the next barrier.
+	due [numDrivers]sim.Time
 }
 
 // deliver is called by a NIC when a packet fully arrives at its host.
@@ -134,38 +128,4 @@ func (sc *shardCtx) deliver(p *pkt.Packet) {
 		sc.n.OnDeliver(p)
 	}
 	sc.pktPool.Put(p)
-}
-
-// scheduleSweep arms the idle-SAQ sweep. Legacy mode schedules the
-// coordinator event directly; windowed mode records the due time so the
-// barrier can arm the (global, coordinator-run) sweep deterministically.
-func (sc *shardCtx) scheduleSweep() {
-	if !sc.sharded {
-		sc.n.scheduleSweep()
-		return
-	}
-	n := sc.n
-	if !n.q.saqs || n.sweepPending || sc.sweepDue != 0 {
-		return
-	}
-	sc.sweepDue = sc.eng.Now() + idleSweepPeriod
-}
-
-// armSharded records arm requests for the coordinator-run periodic
-// drivers (watchdog, metrics sampler, invariant checker) from a shard's
-// injection path. The pending flags are frozen during a window (only
-// the coordinator writes them, only at barriers), so reading them here
-// is race-free and shard-count-invariant.
-func (sc *shardCtx) armSharded() {
-	n := sc.n
-	now := sc.eng.Now()
-	if n.recovery.Enabled && !n.watchdog.pending && sc.wdDue == 0 {
-		sc.wdDue = now + n.recovery.Period
-	}
-	if n.rec != nil && len(n.probes) > 0 && !n.samplerPending && sc.samplerDue == 0 {
-		sc.samplerDue = now + n.rec.MetricsBin()
-	}
-	if n.check != nil && !n.checkState.pending && !n.checkState.dead && sc.checkDue == 0 {
-		sc.checkDue = now + n.check.Period()
-	}
 }

@@ -204,27 +204,13 @@ func (n *Network) buildProbes() {
 	}
 }
 
-// armTraceSampler starts the periodic metrics sampler (deduplicated).
-// Called on every injection, like the watchdog; the sampler
-// self-reschedules only while the network has packets or SAQs in
-// flight, so Engine.Drain terminates.
-func (n *Network) armTraceSampler() {
-	if n.rec == nil || len(n.probes) == 0 || n.samplerPending {
-		return
-	}
-	n.samplerPending = true
-	n.Engine.After(n.rec.MetricsBin(), n.traceSampleFn)
-}
-
-func (n *Network) traceSample() {
-	n.samplerPending = false
+// traceSample is the metrics sampler driver's tick (periodic.go): it
+// recurs only while the network has packets or SAQs in flight.
+func (n *Network) traceSample() bool {
 	now := n.Engine.Now()
 	m := n.rec.Metrics()
 	for _, p := range n.probes {
 		m.Observe(p.name, now, p.fn())
 	}
-	if n.PendingPackets() > 0 || n.saqsLive() {
-		n.samplerPending = true
-		n.Engine.After(n.rec.MetricsBin(), n.traceSampleFn)
-	}
+	return n.PendingPackets() > 0 || n.saqsLive()
 }

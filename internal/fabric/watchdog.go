@@ -13,32 +13,20 @@ import (
 // Everything it finds is reported into the network's FaultReport — the
 // layer repairs, it never panics.
 //
-// The tick self-reschedules only while the network still has work the
-// watchdog might need to repair (pending packets, live SAQs, or credit
-// counters away from their initial values), so Engine.Drain terminates
-// on a healthy network.
+// The tick is a periodic driver (periodic.go): it recurs only while the
+// network still has work the watchdog might need to repair (pending
+// packets, live SAQs, or credit counters away from their initial
+// values), so Engine.Drain terminates on a healthy network.
 
 // watchdogState is the audit tick's bookkeeping.
 type watchdogState struct {
-	pending       bool
 	ticks         uint64 // ticks executed; drives the Xoff resend cadence
 	lastDelivered uint64
 	stallTicks    int
 }
 
-// armWatchdog starts the audit tick (deduplicated). Called on every
-// injection; a bool check keeps the disabled/armed cost negligible.
-func (n *Network) armWatchdog() {
-	if !n.recovery.Enabled || n.watchdog.pending {
-		return
-	}
-	n.watchdog.pending = true
-	n.Engine.After(n.recovery.Period, n.watchdogTickFn)
-}
-
-func (n *Network) watchdogTick() {
+func (n *Network) watchdogTick() bool {
 	w := &n.watchdog
-	w.pending = false
 	w.ticks++
 	now := n.Engine.Now()
 	rec := n.recovery
@@ -129,10 +117,7 @@ func (n *Network) watchdogTick() {
 		}
 	}
 
-	if n.PendingPackets() > 0 || n.saqsLive() || n.creditsDirty() {
-		w.pending = true
-		n.Engine.After(rec.Period, n.watchdogTickFn)
-	}
+	return n.PendingPackets() > 0 || n.saqsLive() || n.creditsDirty()
 }
 
 func (n *Network) saqsLive() bool {

@@ -453,39 +453,17 @@ func (n *Network) aggregateCounters() {
 // minimum due time over shards is exactly the legacy "arm at the first
 // qualifying injection" time, independent of the partition.
 func (n *Network) collectDues() {
-	var sweep, wd, samp, chk sim.Time
-	fold := func(dst *sim.Time, v sim.Time) {
-		if v != 0 && (*dst == 0 || v < *dst) {
-			*dst = v
+	for id := range n.drivers {
+		var due sim.Time
+		for _, sc := range n.shards {
+			if v := sc.due[id]; v != 0 && (due == 0 || v < due) {
+				due = v
+			}
+			sc.due[id] = 0
 		}
-	}
-	for _, sc := range n.shards {
-		fold(&sweep, sc.sweepDue)
-		sc.sweepDue = 0
-		fold(&wd, sc.wdDue)
-		sc.wdDue = 0
-		fold(&samp, sc.samplerDue)
-		sc.samplerDue = 0
-		fold(&chk, sc.checkDue)
-		sc.checkDue = 0
-	}
-	if sweep != 0 && !n.sweepPending {
-		n.sweepPending = true
-		n.Engine.Schedule(sweep, n.runSweepFn)
-	}
-	if wd != 0 && n.recovery.Enabled && !n.watchdog.pending {
-		n.watchdog.pending = true
-		n.Engine.Schedule(wd, n.watchdogTickFn)
-	}
-	if samp != 0 && n.rec != nil && !n.samplerPending {
-		n.samplerPending = true
-		n.Engine.Schedule(samp, n.traceSampleFn)
-	}
-	if chk != 0 && n.check != nil && !n.checkState.pending && !n.checkState.dead {
-		n.checkState.pending = true
-		n.checkState.lastDelivered = n.DeliveredPackets
-		n.checkState.lastProgressAt = chk - n.check.Period()
-		n.Engine.Schedule(chk, n.checkTickFn)
+		if due != 0 {
+			n.armAt(driverID(id), due)
+		}
 	}
 }
 
