@@ -195,8 +195,8 @@ func (r Run) buildConfig() (fabric.Config, error) {
 }
 
 // EagerMemModel returns the analytic construction-time footprint the
-// run's configuration would have fully preallocated (EagerState forced
-// on) — the denominator of the scaling figure's lazy-vs-eager ratio.
+// run's configuration would have fully preallocated — the denominator
+// of the scaling figure's lazy-vs-eager ratio.
 func (r Run) EagerMemModel() (stats.MemReport, error) {
 	cfg, err := r.buildConfig()
 	if err != nil {
@@ -205,7 +205,6 @@ func (r Run) EagerMemModel() (stats.MemReport, error) {
 	if r.Mutate != nil {
 		r.Mutate(&cfg)
 	}
-	cfg.EagerState = true
 	return fabric.EagerMemModel(cfg), nil
 }
 
