@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench chaos-soak chaos-soak-long shard-matrix server-smoke shootout policy-matrix scale-smoke
+.PHONY: all build test race bench chaos-soak chaos-soak-long shard-matrix server-smoke shootout policy-matrix scale-smoke run-selections
 
 all: build test
 
@@ -13,6 +13,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Every alternative of every -run selection in this Makefile and the CI
+# workflow must still name a test in the packages it runs on.
+run-selections:
+	./scripts/check-run-selections.sh
 
 # The repository's one benchmark (BENCHMARK.json; bench/README.md
 # defines every workload and metric): all five workloads into bench.json.
@@ -70,10 +75,11 @@ scale-smoke:
 
 # The windowed runtime's bit-identity matrix under the race detector:
 # shard validation, report/figure identity across shard counts, the
-# sharded chaos soak (live fault injection on shard goroutines), and a
-# checked trace replay through the facade at -shards 1 vs 4.
+# periodic-driver pin (serial and windowed), the sharded chaos soak
+# (live fault injection on shard goroutines), and a checked trace
+# replay through the facade at -shards 1 vs 4.
 shard-matrix:
-	$(GO) test -race -v -run 'TestShard|TestSweepStoreFailure' ./internal/fabric/ ./internal/experiments/
+	$(GO) test -race -v -run 'TestShard|TestSweepStoreFailure|TestDispatchGoldenDrivers' ./internal/fabric/ ./internal/experiments/
 	$(GO) test -race -v -run TestChaosSoakSharded ./internal/check/chaos/
 	$(GO) build -o /tmp/recntrace-shard ./cmd/recntrace
 	/tmp/recntrace-shard -gen -duration-us 200 -out /tmp/shard-cello.trace
