@@ -61,12 +61,12 @@ policy-matrix:
 	$(GO) test -race -run 'TestShootout|TestDispatchGolden|TestValidatePolicyOptions|TestOptionsValidate' ./internal/experiments/
 	$(GO) test -race -run TestAdmissionBadRequests ./internal/server/
 
-# The memory-scaling smoke: the lazy-state equivalence and fat-tree
+# The memory-scaling smoke: the paged-state equivalence and fat-tree
 # battery under the race detector, the 1k-host fat-tree scaling figure
 # at -shards 1 vs 4 (byte-identity), and a short chaos soak (which
 # samples the fat-tree topology on a quarter of its seeds).
 scale-smoke:
-	$(GO) test -race -run 'TestFatTree|TestLazyEager|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction' ./internal/topology/ ./internal/fabric/ ./internal/experiments/
+	$(GO) test -race -run 'TestFatTree|TestPreTouchedState|TestLazyCAM|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction' ./internal/topology/ ./internal/fabric/ ./internal/recn/ ./internal/experiments/
 	$(GO) build -o /tmp/recnsim-scale ./cmd/recnsim
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 1 > /tmp/scaling1k-s1.txt
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 4 > /tmp/scaling1k-s4.txt

@@ -73,6 +73,7 @@ func TestFig2Corner2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	o := quickOpts()
 	o.Policies = []fabric.Policy{fabric.PolicyVOQnet, fabric.Policy1Q, fabric.PolicyRECN}
 	fig, err := Fig2(2, o)
@@ -117,6 +118,7 @@ func TestFig4SAQUtilization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	fig, err := Fig4(2, quickOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +174,7 @@ func TestAblationMarkersShowsReordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	o := quickOpts()
 	tab, err := AblationMarkers(o)
 	if err != nil {
@@ -194,6 +197,7 @@ func TestAblationSAQCountMonotonic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	o := quickOpts()
 	tab, err := AblationSAQCount(o, []int{1, 8})
 	if err != nil {

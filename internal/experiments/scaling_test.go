@@ -1,84 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/fabric"
 )
-
-// reportSansMem executes a run and returns its report as canonical
-// JSON with the memory accounting stripped: lazy and eager runs are
-// bit-identical in everything except how much state they materialize.
-func reportSansMem(t *testing.T, r Run) string {
-	t.Helper()
-	res, err := r.Execute()
-	if err != nil {
-		t.Fatalf("topo=%q: %v", r.Topo, err)
-	}
-	rep := res.Report()
-	rep.Mem = nil
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// The central tentpole contract: lazy materialization is invisible.
-// The same checked, fully drained hotspot run — on the MIN and on the
-// fat tree, under the policy with the most lazy state (VOQnet) and
-// under RECN (lazy CAM controllers) — must report bit-identically with
-// fabric.Config.EagerState on and off. The eager layout is reachable only
-// as this reference, through Run.Mutate.
-func eagerState(cfg *fabric.Config) { cfg.EagerState = true }
-
-func TestLazyEagerRunBitIdentity(t *testing.T) {
-	workload, until, err := CornerWorkload(2, 64, 64, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, topo := range []string{"", "fattree"} {
-		for _, p := range []fabric.Policy{fabric.PolicyVOQnet, fabric.PolicyRECN} {
-			r := Run{
-				Hosts: 64, Policy: p, Topo: topo, Key: "lazy-eager-identity",
-				Workload: workload, Until: until, DrainAll: true, Check: true,
-			}
-			lazy := reportSansMem(t, r)
-			r.Mutate = eagerState
-			eager := reportSansMem(t, r)
-			if lazy != eager {
-				t.Errorf("topo=%q policy=%s: lazy and eager reports differ", topo, p)
-			}
-		}
-	}
-}
-
-// Rendered-figure form of the same contract: a real figure pipeline
-// (sweep, binning, table formatting) emits identical bytes either way.
-func TestLazyEagerFigureBitIdentity(t *testing.T) {
-	o := Options{
-		Scale:    0.02,
-		Policies: []fabric.Policy{fabric.PolicyVOQnet, fabric.PolicyRECN},
-	}.withDefaults()
-	workload, until, err := CornerWorkload(1, 64, o.PacketSize, o.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(mutate func(*fabric.Config)) string {
-		results, bin, err := runPolicies(64, o.Policies, o, cornerKey(1), workload, until, mutate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig := &FigThroughput{Title: "fig2", Bin: bin, Policies: o.Policies, Results: results, maxRows: o.MaxRows, scale: o.Scale}
-		return fig.Table().String()
-	}
-	if render(nil) != render(eagerState) {
-		t.Error("fig2 rendered bytes differ between lazy and eager state")
-	}
-}
 
 // The fat-tree hotspot must drain to empty under the full invariant
 // checker (deadlock/livelock detection included) for every policy the

@@ -21,6 +21,7 @@ import (
 // arn ports raise hints) — determinism of an idle mechanism would prove
 // nothing.
 func TestShootoutPolicyShardIdentity(t *testing.T) {
+	t.Parallel()
 	for _, policy := range []fabric.Policy{fabric.PolicyThrottle, fabric.PolicyARN} {
 		t.Run(policy.String(), func(t *testing.T) {
 			workload, until, err := CornerWorkload(2, 64, 64, 0.05)
@@ -54,6 +55,7 @@ func TestShootoutFigureIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20-run figure reproduction")
 	}
+	t.Parallel()
 	base := ""
 	for _, c := range []struct{ shards, j int }{{1, 1}, {1, 8}, {4, 1}, {4, 8}} {
 		o := Options{Scale: 0.02, Shards: c.shards, Parallelism: c.j}

@@ -399,6 +399,7 @@ func TestSweepParallelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	render := func(par int) string {
 		o := Options{Scale: 0.05, MaxRows: 24, Parallelism: par}
 		var sb strings.Builder
@@ -443,6 +444,7 @@ func TestAblationParallelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")
 	}
+	t.Parallel()
 	render := func(par int) string {
 		o := Options{Scale: 0.05, Parallelism: par}
 		tab, err := AblationSAQCount(o, []int{1, 8})

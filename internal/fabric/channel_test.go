@@ -131,7 +131,7 @@ func TestChannelSerializesBackToBack(t *testing.T) {
 
 func TestActiveList(t *testing.T) {
 	var a activeList
-	a.init(8, false)
+	a.init(8)
 	a.add(3)
 	a.add(5)
 	a.add(3) // duplicate is a no-op

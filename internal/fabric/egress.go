@@ -78,9 +78,9 @@ func (u *egressUnit) init(net *Network, sw *Switch, port int, terminal bool, rc 
 		return err
 	}
 	u.qs.initSide(&u.pool, net.q.out, &cfg)
-	u.active.init(u.qs.len(), !cfg.EagerState)
+	u.active.init(u.qs.len())
 	if rc != nil {
-		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), terminal, u, cfg.EagerState); err != nil {
+		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), terminal, u); err != nil {
 			return err
 		}
 		u.rc = rc
@@ -104,7 +104,7 @@ func (u *egressUnit) attach(sink linkSink, remoteHost bool) {
 	if in := u.net.q.in; !remoteHost {
 		if n, qcap := in.plan(&cfg); qcap > 0 {
 			u.initQueue = qcap
-			u.queueCredits.init(n, qcap, in.paged(&cfg))
+			u.queueCredits.init(n, qcap, in.paged())
 		}
 	}
 }

@@ -186,14 +186,6 @@ type Config struct {
 	// with structured violations. Checkers are single-use, like Faults
 	// and Tracer; nil keeps every hook down to a single nil comparison.
 	Checker *check.Checker
-	// EagerState disables lazy queue/credit materialization, restoring
-	// the fully preallocated per-port state of the pre-slab fabric.
-	// Lazy and eager runs are bit-identical by construction (untouched
-	// state behaves exactly like freshly built state, and materialized
-	// entries are visited in dense index order); the flag exists so the
-	// golden tests can assert that equivalence and so the scaling
-	// figures can measure the eager footprint at small sizes.
-	EagerState bool
 }
 
 // DefaultConfig returns the evaluation defaults for a topology.

@@ -55,9 +55,9 @@ func (u *ingressUnit) init(net *Network, sw *Switch, port int, rc *recn.Ingress)
 	}
 	u.arbitFn = u.arbit
 	u.qs.initSide(&u.pool, net.q.in, &cfg)
-	u.active.init(u.qs.len(), !cfg.EagerState)
+	u.active.init(u.qs.len())
 	if rc != nil {
-		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), u, cfg.EagerState); err != nil {
+		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), u); err != nil {
 			return err
 		}
 		u.rc = rc

@@ -53,7 +53,7 @@ func (r *memAcc) finish() stats.MemReport {
 
 // MemStats walks every port unit and reports the control state the run
 // has materialized so far (plus the data-RAM residency high-water
-// marks). Under lazy materialization — the default — untouched
+// marks). Paged state materializes on first touch: untouched
 // destinations, credit pages and never-congested RECN controllers
 // contribute nothing, so the same topology under the same policy can
 // answer very differently depending on the traffic; the scaling figure
@@ -100,12 +100,13 @@ func (n *Network) MemStats() stats.MemReport {
 }
 
 // EagerMemModel computes the construction-time control-state footprint
-// the same configuration would have with EagerState set: every queue
-// descriptor, credit counter, destination record and RECN controller
-// fully preallocated (ring slots still grow on demand in both modes, so
-// they are zero here). This is the denominator of the scaling figure's
-// "lazy vs eager" ratio — analytic, so the 4k-host eager fabric never
-// has to be built to be compared against.
+// the same configuration would have fully preallocated: every set flat,
+// and every queue descriptor, credit counter, destination record, CNP
+// clock and RECN controller built (ring slots grow on demand either
+// way, so they are zero here). This is the denominator of the scaling
+// figure's "lazy vs eager" ratio. It is analytic — no setting builds
+// such a fabric — and a test pins it to the flat footprint read from
+// the lengths of a freshly built network's sets.
 func EagerMemModel(cfg Config) stats.MemReport {
 	q, err := cfg.queuing()
 	if err != nil {

@@ -48,78 +48,13 @@ func (q *hostQueue) pop() *pkt.Packet {
 }
 
 // nicDest is one destination's admittance state: the VOQ, its queued
-// bytes (AdmitCap accounting), and the cached route.
+// bytes (AdmitCap accounting), and the cached route. A NIC's
+// destinations are always paged: a 4k-host NIC only pays for the
+// destinations it actually sends to.
 type nicDest struct {
 	q     hostQueue
 	bytes int
 	route pkt.Route
-}
-
-// destSet is the per-destination admittance array, dense or
-// demand-paged: a 4k-host NIC only pays for the destinations it
-// actually sends to. Pages give stable interior pointers, so a *nicDest
-// stays valid across later materializations.
-type destSet struct {
-	n     int
-	lazy  bool
-	dense []nicDest
-	pages [][]nicDest
-}
-
-func (s *destSet) init(n int, lazy bool) {
-	*s = destSet{n: n, lazy: lazy}
-	if !lazy {
-		s.dense = make([]nicDest, n)
-	}
-}
-
-// at returns destination i's state, or nil when untouched (callers
-// index via the active list, which only holds touched destinations).
-func (s *destSet) at(i int) *nicDest {
-	if !s.lazy {
-		return &s.dense[i]
-	}
-	if s.pages == nil {
-		return nil
-	}
-	pg := s.pages[i>>statePageBits]
-	if pg == nil {
-		return nil
-	}
-	return &pg[i&(statePageLen-1)]
-}
-
-// get returns destination i's state, materializing its page on first
-// touch.
-func (s *destSet) get(i int) *nicDest {
-	if !s.lazy {
-		return &s.dense[i]
-	}
-	if s.pages == nil {
-		s.pages = make([][]nicDest, (s.n+statePageLen-1)>>statePageBits)
-	}
-	pi := i >> statePageBits
-	pg := s.pages[pi]
-	if pg == nil {
-		pg = make([]nicDest, statePageLen)
-		s.pages[pi] = pg
-	}
-	return &pg[i&(statePageLen-1)]
-}
-
-// memCount reports materialized destination slots, for the memory
-// model.
-func (s *destSet) memCount() (slots int) {
-	if !s.lazy {
-		return len(s.dense)
-	}
-	slots = len(s.pages)
-	for _, pg := range s.pages {
-		if pg != nil {
-			slots += statePageLen
-		}
-	}
-	return
 }
 
 // NIC is a host's network interface (paper §4.1): N admittance queues
@@ -136,7 +71,7 @@ type NIC struct {
 	attachSw   int
 	attachPort int
 
-	dests   destSet
+	dests   slots[nicDest]
 	active  activeList
 	rr      int
 	backlog int // packets waiting in admittance queues
@@ -197,8 +132,8 @@ func (nic *NIC) init(net *Network, host int, inj *egressUnit, rc *recn.Egress) e
 	nic.host = host
 	nic.attachSw = sw
 	nic.attachPort = port
-	nic.dests.init(hosts, !net.cfg.EagerState)
-	nic.active.init(hosts, !net.cfg.EagerState)
+	nic.dests.init(hosts, true, nicDest{})
+	nic.active.init(hosts)
 	nic.seq = make(map[uint32]uint64)
 	nic.runPumpFn = nic.runPump
 	if err := inj.init(net, nil, 0, true, rc); err != nil {
@@ -208,9 +143,6 @@ func (nic *NIC) init(net *Network, host int, inj *egressUnit, rc *recn.Egress) e
 	inj.nic = nic
 	if net.q.side == sideECN {
 		nic.thr = &nicThrottle{state: throttle.NewState()}
-		if net.cfg.EagerState {
-			nic.thr.lastCNPAt = make([]sim.Time, hosts)
-		}
 		nic.onCNPFn = nic.onCNP
 		nic.aiTickFn = nic.aiTick
 		nic.paceFn = nic.paceFire
@@ -241,7 +173,7 @@ func (nic *NIC) Backlog() int { return nic.backlog }
 // completely in the admittance queue and packetized before transfer to
 // an injection queue).
 func (nic *NIC) injectMessage(dst, size int, class uint8) error {
-	d := nic.dests.get(dst)
+	d := nic.dests.get(dst, nicDest{})
 	route := d.route
 	if route == nil {
 		r, err := nic.net.topo.Route(nic.host, dst)
@@ -326,7 +258,7 @@ func (nic *NIC) runPump() {
 				return
 			}
 			idx := nic.active.at(nic.rr % nic.active.len())
-			d := nic.dests.at(idx)
+			d := nic.dests.get(idx, nicDest{})
 			if d.q.count == 0 {
 				nic.active.remove(idx)
 				continue

@@ -16,93 +16,44 @@ type queueHandle struct {
 // arbiters do not scan hundreds of empty VOQnet queues. Membership is
 // O(1) both ways; iteration order is insertion order, with round-robin
 // fairness coming from the caller's rotating cursor. The membership
-// slots (index+1 into items, 0 = absent) are a dense array for small
-// index spaces and demand-paged above lazyPosThreshold, so a 4k-host
-// unit pays only for the pages its traffic touches.
+// slots (index+1 into items, 0 = absent) are flat for small index
+// spaces and demand-paged from lazyPosThreshold up, so a 4k-host unit
+// pays only for the pages its traffic touches.
 type activeList struct {
 	items []int
-	n     int
-	pos   []int   // dense slots
-	pages [][]int // paged slots (nil until first touch)
-	lazy  bool
+	pos   slots[int]
 }
 
-func (a *activeList) init(n int, lazy bool) {
-	*a = activeList{n: n, lazy: lazy && n >= lazyPosThreshold}
-	if !a.lazy {
-		a.pos = make([]int, n)
-	}
-}
-
-func (a *activeList) posOf(idx int) int {
-	if !a.lazy {
-		return a.pos[idx]
-	}
-	if a.pages == nil {
-		return 0
-	}
-	pg := a.pages[idx>>statePageBits]
-	if pg == nil {
-		return 0
-	}
-	return pg[idx&(statePageLen-1)]
-}
-
-func (a *activeList) setPos(idx, v int) {
-	if !a.lazy {
-		a.pos[idx] = v
-		return
-	}
-	if a.pages == nil {
-		a.pages = make([][]int, (a.n+statePageLen-1)>>statePageBits)
-	}
-	pi := idx >> statePageBits
-	pg := a.pages[pi]
-	if pg == nil {
-		pg = make([]int, statePageLen)
-		a.pages[pi] = pg
-	}
-	pg[idx&(statePageLen-1)] = v
+func (a *activeList) init(n int) {
+	a.items = nil
+	a.pos.init(n, n >= lazyPosThreshold, 0)
 }
 
 func (a *activeList) add(idx int) {
-	if a.posOf(idx) != 0 {
+	if a.pos.at(idx, 0) != 0 {
 		return
 	}
 	a.items = append(a.items, idx)
-	a.setPos(idx, len(a.items))
+	*a.pos.get(idx, 0) = len(a.items)
 }
 
 func (a *activeList) remove(idx int) {
-	p := a.posOf(idx)
+	p := a.pos.at(idx, 0)
 	if p == 0 {
 		return
 	}
 	last := a.items[len(a.items)-1]
 	a.items[p-1] = last
-	a.setPos(last, p)
+	*a.pos.get(last, 0) = p
 	a.items = a.items[:len(a.items)-1]
-	a.setPos(idx, 0)
+	*a.pos.get(idx, 0) = 0
 }
 
 func (a *activeList) len() int { return len(a.items) }
 
-// memCount reports allocated membership slots (dense array or
-// materialized pages) plus the item stack's capacity, for the memory
-// model.
-func (a *activeList) memCount() (slots int) {
-	slots = cap(a.items)
-	if !a.lazy {
-		return slots + len(a.pos)
-	}
-	slots += len(a.pages)
-	for _, pg := range a.pages {
-		if pg != nil {
-			slots += statePageLen
-		}
-	}
-	return
-}
+// memCount reports allocated membership slots plus the item stack's
+// capacity, for the memory model.
+func (a *activeList) memCount() int { return cap(a.items) + a.pos.memCount() }
 
 func (a *activeList) at(i int) int { return a.items[i] }
 

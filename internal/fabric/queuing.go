@@ -99,8 +99,9 @@ func (k classKind) plan(cfg *Config) (n, cap int) {
 }
 
 // paged reports whether a side's queue and credit arrays are demand
-// paged: per-destination sets are O(hosts) per port, the others small.
-func (k classKind) paged(cfg *Config) bool { return k == classPerDest && !cfg.EagerState }
+// paged: per-destination sets are O(hosts) per port, the others small
+// (and flat).
+func (k classKind) paged() bool { return k == classPerDest }
 
 // classify returns the index of the policy queue a packet takes on a
 // side of kind k. hop indexes the packet's route at the switch that
@@ -133,7 +134,7 @@ func leastOccupied(qs *queueSet) int {
 // initSide builds the policy queues of one port side.
 func (s *queueSet) initSide(pool *mempool.Pool, kind classKind, cfg *Config) {
 	n, qcap := kind.plan(cfg)
-	s.init(pool, n, qcap, kind.paged(cfg))
+	s.init(pool, n, qcap, kind.paged())
 	s.kind = kind
 }
 

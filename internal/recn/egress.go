@@ -65,7 +65,9 @@ type Egress struct {
 // SetTracer installs a flight-recorder tap (nil disables tracing).
 func (e *Egress) SetTracer(tr Tracer) { e.tr = tr }
 
-// NewEgress builds the controller for one output port.
+// NewEgress builds the controller for one output port with its CAM
+// table in place, panicking on bad arguments (the constructor the tests
+// and micro-benchmarks use).
 //
 // port is the output port index within the switch (prepended to paths
 // when notifying local ingress ports). pool and normal are the port's
@@ -73,18 +75,19 @@ func (e *Egress) SetTracer(tr Tracer) { e.tr = tr }
 // injection ports.
 func NewEgress(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, terminal bool, fx EgressEffects) *Egress {
 	e := &Egress{}
-	if err := e.Init(cfg, port, pool, normals, terminal, fx, true); err != nil {
+	if err := e.Init(cfg, port, pool, normals, terminal, fx); err != nil {
 		panic(err)
 	}
+	e.ensure()
 	return e
 }
 
 // Init (re)builds the controller in place (arena-allocated controllers
-// use this — see fabric.New). With eager false the CAM table and SAQ
-// slot array are deferred to the first congestion event on this port:
-// most ports of a large fabric never see one, and an absent CAM behaves
-// exactly like an empty one.
-func (e *Egress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, terminal bool, fx EgressEffects, eager bool) error {
+// use this — see fabric.New). The CAM table and SAQ slot array are
+// deferred to the first congestion event on this port: most ports of a
+// large fabric never see one, and an absent CAM behaves exactly like an
+// empty one.
+func (e *Egress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, terminal bool, fx EgressEffects) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -101,9 +104,6 @@ func (e *Egress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempo
 		pool:     pool,
 		normals:  normals,
 		fx:       fx,
-	}
-	if eager {
-		e.ensure()
 	}
 	return nil
 }

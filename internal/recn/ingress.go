@@ -45,22 +45,24 @@ type Ingress struct {
 // SetTracer installs a flight-recorder tap (nil disables tracing).
 func (in *Ingress) SetTracer(tr Tracer) { in.tr = tr }
 
-// NewIngress builds the controller for one input port (eagerly, with
-// panics on bad arguments — the legacy constructor the tests use).
+// NewIngress builds the controller for one input port with its CAM
+// table in place, panicking on bad arguments (the constructor the tests
+// and micro-benchmarks use).
 func NewIngress(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, fx IngressEffects) *Ingress {
 	in := &Ingress{}
-	if err := in.Init(cfg, port, pool, normals, fx, true); err != nil {
+	if err := in.Init(cfg, port, pool, normals, fx); err != nil {
 		panic(err)
 	}
+	in.ensure()
 	return in
 }
 
 // Init (re)builds the controller in place (arena-allocated controllers
-// use this — see fabric.New). With eager false the CAM table and SAQ
-// slot array are deferred to the first congestion event on this port:
-// most ports of a large fabric never see one, and an absent CAM behaves
-// exactly like an empty one.
-func (in *Ingress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, fx IngressEffects, eager bool) error {
+// use this — see fabric.New). The CAM table and SAQ slot array are
+// deferred to the first congestion event on this port: most ports of a
+// large fabric never see one, and an absent CAM behaves exactly like an
+// empty one.
+func (in *Ingress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, fx IngressEffects) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -76,9 +78,6 @@ func (in *Ingress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mem
 		pool:    pool,
 		normals: normals,
 		fx:      fx,
-	}
-	if eager {
-		in.ensure()
 	}
 	return nil
 }

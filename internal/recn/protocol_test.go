@@ -1,7 +1,9 @@
 package recn
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mempool"
@@ -26,7 +28,10 @@ type protocolHarness struct {
 	upstream [][]CtlMsg
 }
 
-func newProtocolHarness(t *testing.T, seed int64, inputs int) *protocolHarness {
+// newProtocolHarness builds the switch with NewEgress/NewIngress (CAM
+// tables in place), or, with lazy set, with Init alone (CAM tables
+// deferred to the first congestion event, as fabric.New builds them).
+func newProtocolHarness(t *testing.T, seed int64, inputs int, lazy bool) *protocolHarness {
 	cfg := testConfig()
 	h := &protocolHarness{t: t, rng: rand.New(rand.NewSource(seed))}
 	h.ins = make([]*Ingress, inputs)
@@ -35,13 +40,27 @@ func newProtocolHarness(t *testing.T, seed int64, inputs int) *protocolHarness {
 	efx := &egressFx{ingress: map[int]*Ingress{}}
 	pool := mempool.NewPool(1 << 20)
 	h.egNormal = mempool.NewQueue(pool, 0)
-	h.eg = NewEgress(cfg, 6, pool, []*mempool.Queue{h.egNormal}, false, efx)
+	if lazy {
+		h.eg = &Egress{}
+		if err := h.eg.Init(cfg, 6, pool, []*mempool.Queue{h.egNormal}, false, efx); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		h.eg = NewEgress(cfg, 6, pool, []*mempool.Queue{h.egNormal}, false, efx)
+	}
 	for i := range h.ins {
 		i := i
 		ipool := mempool.NewPool(1 << 20)
 		h.inNormal[i] = mempool.NewQueue(ipool, 0)
 		fx := &harnessIngressFx{h: h, port: i}
-		h.ins[i] = NewIngress(cfg, i, ipool, []*mempool.Queue{h.inNormal[i]}, fx)
+		if lazy {
+			h.ins[i] = &Ingress{}
+			if err := h.ins[i].Init(cfg, i, ipool, []*mempool.Queue{h.inNormal[i]}, fx); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			h.ins[i] = NewIngress(cfg, i, ipool, []*mempool.Queue{h.inNormal[i]}, fx)
+		}
 		efx.ingress[i] = h.ins[i]
 	}
 	return h
@@ -227,7 +246,7 @@ func (h *protocolHarness) collapse() {
 // stops.
 func TestProtocolRandomizedCollapse(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		h := newProtocolHarness(t, seed, 4)
+		h := newProtocolHarness(t, seed, 4, false)
 		steps := 500 + h.rng.Intn(1500)
 		for i := 0; i < steps; i++ {
 			h.step()
@@ -245,5 +264,87 @@ func TestProtocolRandomizedCollapse(t *testing.T) {
 				t.Fatalf("seed %d: ingress %d allocs %d != deallocs %d", seed, i, st.Allocs, st.Deallocs)
 			}
 		}
+	}
+}
+
+// observe renders every observable of the harness's controllers: their
+// counters, root state and CAM occupancy, each live SAQ (line, UID,
+// path, gates, residency) in CAM-line order, the classification and
+// internal gate of every two-turn route, and the control messages
+// still in flight upstream.
+func (h *protocolHarness) observe() string {
+	var b strings.Builder
+	saq := func(tag string, s *SAQ, eligible, boosted bool) {
+		fmt.Fprintf(&b, " %s[%d uid=%d path=%v blocked=%v leaf=%v tx=%v boost=%v pkts=%d bytes=%d]",
+			tag, s.ID, s.UID, s.Path, s.Blocked(), s.Leaf(), eligible, boosted, s.Q.Packets(), s.Q.QueuedBytes())
+	}
+	fmt.Fprintf(&b, "%v %+v cam=%d normal=%d", h.eg, h.eg.Stats(), h.eg.CAMUsed(), h.egNormal.QueuedBytes())
+	h.eg.ForEachSAQ(func(s *SAQ) { saq("e", s, h.eg.EligibleTx(s), h.eg.Boosted(s)) })
+	for a := 0; a < 4; a++ {
+		for c := 0; c < 4; c++ {
+			route := pkt.Route{6, pkt.Turn(a), pkt.Turn(c), 0}
+			id := -1
+			if s := h.eg.Classify(route, 1); s != nil {
+				id = s.ID
+			}
+			fmt.Fprintf(&b, " c%d%d=%d/%v", a, c, id, h.eg.GatedInternally(route, 1))
+		}
+	}
+	for i, ig := range h.ins {
+		fmt.Fprintf(&b, "\n%v %+v cam=%d normal=%d up=%v", ig, ig.Stats(), ig.CAMUsed(),
+			h.inNormal[i].QueuedBytes(), h.upstream[i])
+		ig.ForEachSAQ(func(s *SAQ) { saq("i", s, ig.EligibleTx(s), ig.Boosted(s)) })
+		for a := 0; a < 4; a++ {
+			id := -1
+			if s := ig.Classify(pkt.Route{6, pkt.Turn(a), 0}, 0); s != nil {
+				id = s.ID
+			}
+			fmt.Fprintf(&b, " c%d=%d", a, id)
+		}
+	}
+	return b.String()
+}
+
+// A controller built by Init defers its CAM table to the first
+// congestion event; one built by NewIngress/NewEgress has it from the
+// start. The two must be indistinguishable: driven through the same
+// random op stream, every observable agrees after every step, through
+// the collapse.
+func TestLazyCAMMatchesEager(t *testing.T) {
+	var egAllocs, inAllocs uint64
+	for seed := int64(1); seed <= 20; seed++ {
+		lazy, eager := newProtocolHarness(t, seed, 4, true), newProtocolHarness(t, seed, 4, false)
+		if lazy.eg.Materialized() || !eager.eg.Materialized() {
+			t.Fatalf("seed %d: CAM layouts not as built (lazy %v, eager %v)", seed, lazy.eg.Materialized(), eager.eg.Materialized())
+		}
+		steps := 500 + lazy.rng.Intn(1500)
+		eager.rng.Intn(1500)
+		// Now and then a downstream switch notifies the egress port,
+		// so its CAM materializes too.
+		down := rand.New(rand.NewSource(seed))
+		for i := 0; i < steps; i++ {
+			if down.Intn(50) == 0 {
+				path := pkt.PathOf(pkt.Turn(down.Intn(4)))
+				lazy.eg.OnUpstreamNotification(path)
+				eager.eg.OnUpstreamNotification(path)
+			}
+			lazy.step()
+			eager.step()
+			if got, want := lazy.observe(), eager.observe(); got != want {
+				t.Fatalf("seed %d step %d: lazy\n%s\neager\n%s", seed, i, got, want)
+			}
+		}
+		lazy.collapse()
+		eager.collapse()
+		if got, want := lazy.observe(), eager.observe(); got != want {
+			t.Fatalf("seed %d after collapse: lazy\n%s\neager\n%s", seed, got, want)
+		}
+		egAllocs += lazy.eg.Stats().Allocs
+		for _, ig := range lazy.ins {
+			inAllocs += ig.Stats().Allocs
+		}
+	}
+	if egAllocs == 0 || inAllocs == 0 {
+		t.Fatalf("SAQ allocations: egress %d, ingress %d — the op stream never reached a lazy CAM", egAllocs, inAllocs)
 	}
 }
