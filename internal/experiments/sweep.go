@@ -99,9 +99,11 @@ func (r Run) cacheable() bool {
 }
 
 // cacheVersion invalidates every cache entry written by previous
-// simulator revisions; bump it whenever a model change alters results
-// without altering specs.
-const cacheVersion = 1
+// simulator revisions. It is the FNV-64a digest of the dispatch pins
+// (testdata/dispatch.txt), so a model change that alters results
+// without altering specs re-records a pin row, and
+// TestCacheVersionIsThePinDigest then fails until this constant moves.
+const cacheVersion uint64 = 0xcffadfbae7759384
 
 // RunCache is an on-disk cache of run results keyed by SpecHash. One
 // entry is one JSON file holding the spec key (verified on load, so a
@@ -198,7 +200,7 @@ func (c *RunCache) path(r Run) string {
 }
 
 type cacheEntry struct {
-	Version int
+	Version uint64
 	SpecKey string
 	Sum     uint64
 	Report  json.RawMessage

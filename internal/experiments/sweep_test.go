@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -343,6 +344,20 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 		if _, ok := cache.Load(run); !ok {
 			t.Errorf("%s: entry not repaired after re-simulation", name)
 		}
+	}
+}
+
+// The cache version is derived from the model's pins: re-recording a
+// dispatch row without moving cacheVersion would let entries computed
+// by the old model be served as the new model's results.
+func TestCacheVersionIsThePinDigest(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", dispatchGoldenFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checksum(raw); got != cacheVersion {
+		t.Errorf("testdata/%s digests to %#016x but cacheVersion is %#016x: set cacheVersion to the new digest (it invalidates every cached run)",
+			dispatchGoldenFile, got, cacheVersion)
 	}
 }
 

@@ -43,6 +43,7 @@ func (t Time) String() string {
 // used by command-line flags (e.g. recnsim -faults).
 func ParseTime(s string) (Time, error) {
 	s = strings.TrimSpace(s)
+	in := s
 	unit := Picosecond
 	switch {
 	case strings.HasSuffix(s, "ms"):
@@ -63,7 +64,13 @@ func ParseTime(s string) (Time, error) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("sim: duration %q must be a finite, non-negative value", s)
 	}
-	return Time(v * float64(unit)), nil
+	// float64(math.MaxInt64) rounds up to 2^63, the first product that
+	// no longer converts to an int64 Time.
+	ps := v * float64(unit)
+	if ps >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("sim: duration %q is out of range (max %v)", in, Time(math.MaxInt64))
+	}
+	return Time(ps), nil
 }
 
 // Micros returns the time converted to microseconds as a float.

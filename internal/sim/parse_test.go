@@ -49,9 +49,10 @@ func TestParseTimeErrors(t *testing.T) {
 		"5sec",  // unknown unit
 		"abcns", // non-numeric value
 		"1.2.3us",
-		"-5ns",  // negative duration
-		"NaNms", // non-finite
-		"ns",    // unit without value
+		"-5ns",   // negative duration
+		"NaNms",  // non-finite
+		"ns",     // unit without value
+		"1e14ms", // 1e23 ps overflows int64
 	} {
 		if got, err := ParseTime(in); err == nil {
 			t.Errorf("ParseTime(%q) = %v, want error", in, got)

@@ -3,24 +3,16 @@
 // Interconnection Networks" (Duato, Johnson, Flich, Naven, García,
 // Nachiondo — HPCA 2005), the paper that introduced RECN.
 //
-// It bundles a picosecond-resolution discrete-event simulator of
-// perfect-shuffle bidirectional MINs (64–512 hosts of 8-port switches),
-// five queuing mechanisms (1Q, 4Q, VOQsw, VOQnet and RECN with
-// dynamically allocated set-aside queues), the paper's workloads, and
-// runners that regenerate every table and figure of the evaluation.
-//
-// Quick start:
-//
-//	net, _ := repro.NewNetwork(64, repro.PolicyRECN)
-//	net.InjectMessage(3, 60, 64)
-//	net.Engine.Drain()
-//
-// Reproducing a figure:
-//
-//	tables, _ := repro.Reproduce("2a", repro.Options{Scale: 0.5})
-//	for _, t := range tables {
-//		fmt.Print(t)
-//	}
+// It bundles a picosecond-resolution discrete-event simulator of three
+// topologies (the paper's perfect-shuffle bidirectional MINs of 8-port
+// switches, k-ary n-trees with adaptive up-routing, and 2D meshes),
+// seven queuing mechanisms (the paper's 1Q, 4Q, VOQsw, VOQnet and RECN
+// with dynamically allocated set-aside queues, plus ECN-style source
+// throttling and hint-driven adaptive routing), the paper's workloads,
+// and runners that regenerate every table and figure of the evaluation.
+// The package examples walk through the API, from one message on
+// NewNetwork to a flight-recorded Run; go test checks each one against
+// its output.
 package repro
 
 import (
@@ -32,7 +24,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/pkt"
-	"repro/internal/recn"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -50,15 +41,8 @@ type (
 	Config = fabric.Config
 	// Policy selects the queuing mechanism.
 	Policy = fabric.Policy
-	// RECNConfig holds the RECN thresholds and SAQ limits.
-	RECNConfig = recn.Config
 	// Topology describes a multistage network.
 	Topology = topology.Topology
-	// Mesh is a 2D direct network (one host per switch, XY routing).
-	Mesh = topology.Mesh
-	// FatTree is the k-ary n-tree with deterministic adaptive
-	// up-routing (the scaling figures' topology).
-	FatTree = topology.FatTree
 	// Time is simulation time in picoseconds.
 	Time = sim.Time
 	// Options is the option set of figure reproduction runs: the one
@@ -74,8 +58,8 @@ type (
 	Result = experiments.Result
 	// Run describes one simulation of one mechanism.
 	Run = experiments.Run
-	// RunCache is the on-disk run-result cache used by Sweep, keyed by
-	// Run.SpecHash (enable it with Options.CacheDir).
+	// RunCache is the on-disk run-result cache of figure sweeps, keyed
+	// by Run.SpecHash (enable it with Options.CacheDir or Options.Cache).
 	RunCache = experiments.RunCache
 	// CacheSummary is one sweep's run-cache accounting (hits, misses and
 	// the store failures a sweep does not fail on), delivered through
@@ -100,8 +84,6 @@ type (
 	LinkFlap = fault.LinkFlap
 	// FaultRecovery configures the watchdog/recovery layer.
 	FaultRecovery = fault.Recovery
-	// FaultReport accounts injected faults and recovery actions.
-	FaultReport = stats.FaultReport
 	// TraceConfig configures the flight recorder (ring size, event
 	// mask, metrics sampling period).
 	TraceConfig = trace.Config
@@ -110,14 +92,6 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceMask selects which event kinds are recorded.
 	TraceMask = trace.Mask
-	// TraceEvent is one recorded flight-recorder event.
-	TraceEvent = trace.Event
-	// TraceTree is one reconstructed congestion-tree lifecycle
-	// (as returned by TraceRecorder.Trees).
-	TraceTree = trace.Tree
-	// TraceMetrics is the flight recorder's time-series registry
-	// (TraceRecorder.Metrics; non-nil when TraceConfig.MetricsBin > 0).
-	TraceMetrics = trace.Metrics
 	// TraceSeries is one sampled metric series; it implements Series.
 	TraceSeries = trace.TimeSeries
 	// Series is any fixed-bin time series (Throughput's rate view,
@@ -133,12 +107,6 @@ type (
 	// CheckConfig tunes the checker (audit period, trace-tail length,
 	// livelock window, collect-vs-panic mode).
 	CheckConfig = check.Config
-	// CheckViolation is one detected invariant violation: the rule, the
-	// simulation time and location, and a diagnostics snapshot
-	// (Detail() renders everything).
-	CheckViolation = check.Violation
-	// CheckRule identifies which invariant a violation broke.
-	CheckRule = check.Rule
 )
 
 // NewChecker builds a runtime invariant checker from a config (zero
@@ -147,21 +115,6 @@ func NewChecker(cfg CheckConfig) *Checker { return check.New(cfg) }
 
 // SummarizeSeries scans a Series once and returns bins/mean/max/peak.
 func SummarizeSeries(s Series) SeriesSummary { return stats.Summarize(s) }
-
-// Sweep executes independent runs across a worker pool
-// (Options.Parallelism workers; 0 = GOMAXPROCS) and returns their
-// results in submission order, byte-identical to running them
-// serially. With Options.CacheDir set, results are served from and
-// stored to the on-disk run cache.
-func Sweep(runs []Run, o Options) ([]*Result, error) { return experiments.Sweep(runs, o) }
-
-// SweepContext is Sweep under a context: when ctx is canceled or times
-// out, the sweep stops scheduling new runs, interrupts in-flight serial
-// runs, and returns the completed results alongside an error matching
-// errors.Is(err, ErrCanceled).
-func SweepContext(ctx context.Context, runs []Run, o Options) ([]*Result, error) {
-	return experiments.SweepContext(ctx, runs, o)
-}
 
 // ErrCanceled is the typed error a canceled or timed-out sweep (or
 // run) returns; detect it with errors.Is.
@@ -201,17 +154,6 @@ func ResultFromReport(policy Policy, rep RunReport) (*Result, error) {
 	return experiments.ResultFromReport(policy, rep)
 }
 
-// FaultConfig bundles a fault plan with the recovery layer that
-// counters it; pass it to NewNetworkFaults or set the corresponding
-// Config fields directly.
-type FaultConfig struct {
-	// Plan injects faults (nil = none). Plans are single-use.
-	Plan *FaultPlan
-	// Recovery configures the watchdog layer; the zero value disables
-	// it, DefaultFaultRecovery() enables it with default timers.
-	Recovery FaultRecovery
-}
-
 // Fault targets for FaultPlan rules and scripted drops.
 const (
 	FaultCredit = fault.Credit
@@ -225,20 +167,8 @@ const (
 // NewFaultPlan returns an empty fault plan with the given RNG seed.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
 
-// ParseFaultPlan builds a plan from the compact spec format used by
-// `recnsim -faults` (e.g. "seed=7,drop=token:3,flap=0:2:100us:400us").
-func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.ParsePlan(spec) }
-
 // DefaultFaultRecovery returns the recovery layer with default timers.
 func DefaultFaultRecovery() FaultRecovery { return fault.DefaultRecovery() }
-
-// AllTraceEvents enables every flight-recorder event kind.
-const AllTraceEvents = trace.AllEvents
-
-// NewTraceRecorder builds a flight recorder from a config. Pass it via
-// Config.Tracer (or Run.Trace / Options.Trace as a TraceConfig) before
-// building the network; recorders are single-use.
-func NewTraceRecorder(cfg TraceConfig) *TraceRecorder { return trace.New(cfg) }
 
 // ParseTraceEvents parses a comma-separated event spec ("saq,token",
 // "packet", "tree", "all", …) into a TraceMask, as accepted by
@@ -248,21 +178,6 @@ func ParseTraceEvents(spec string) (TraceMask, error) { return trace.ParseEvents
 // ParseTime parses a duration with a unit suffix ("250ns", "1.5us",
 // "2ms", "800ps") into a Time.
 func ParseTime(s string) (Time, error) { return sim.ParseTime(s) }
-
-// NewNetworkFaults builds a simulation of the paper's network with the
-// given mechanism, fault plan and recovery layer. Read the outcome from
-// Network.FaultReport after the run.
-func NewNetworkFaults(hosts int, policy Policy, fc FaultConfig) (*Network, error) {
-	topo, err := topology.ForHosts(hosts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := fabric.DefaultConfig(topo)
-	cfg.Policy = policy
-	cfg.Faults = fc.Plan
-	cfg.Recovery = fc.Recovery
-	return fabric.New(cfg)
-}
 
 // Queuing mechanisms (paper §4.3).
 const (
@@ -294,24 +209,8 @@ func ParsePolicy(s string) (Policy, error) { return fabric.ParsePolicy(s) }
 // any power of 4).
 func NewTopology(hosts int) (*Topology, error) { return topology.ForHosts(hosts) }
 
-// NewFatTree builds the k-ary n-tree with deterministic adaptive
-// up-routing for any host count NewTopology accepts (the scaling
-// figures use 1024 and 4096).
-func NewFatTree(hosts int) (*FatTree, error) { return topology.NewFatTree(hosts) }
-
-// BuildTopology resolves a topology name ("min", "fattree", "mesh")
-// and host count — the CLIs' -topo flag surface.
-func BuildTopology(name string, hosts int) (fabric.Topology, error) {
-	return experiments.BuildTopology(name, hosts)
-}
-
-// TopologyNames lists every name BuildTopology accepts.
+// TopologyNames lists every topology name Options.Topo accepts.
 func TopologyNames() string { return experiments.TopologyNames() }
-
-// NewMesh builds a cols×rows 2D mesh (one host per switch, XY routing).
-// The paper notes RECN works on direct networks too; the same fabric
-// and controllers run unchanged on a mesh.
-func NewMesh(cols, rows int) (*Mesh, error) { return topology.NewMesh(cols, rows) }
 
 // NewMeshNetwork builds a mesh simulation with default parameters.
 func NewMeshNetwork(cols, rows int, policy Policy) (*Network, error) {
@@ -346,21 +245,6 @@ func NewNetworkConfig(cfg Config) (*Network, error) { return fabric.New(cfg) }
 // hosts, the Figure 6 variants for 256/512).
 func Corner(number, hosts, msgSize int, scale float64) (CornerCase, error) {
 	return traffic.Corner(number, hosts, msgSize, scale)
-}
-
-// InstallCorner installs a corner-case workload on a network (shard
-// it first to run the workload on the windowed runtime). An injection
-// that fails mid-run does not stop the run: Network.InjectErr reports
-// it afterwards.
-func InstallCorner(net *Network, c CornerCase) error {
-	return c.Install(net.Traffic())
-}
-
-// InstallCello installs the SAN (cello model) workload on a network
-// with the given trace time-compression factor. Injection errors are
-// reported as for InstallCorner.
-func InstallCello(net *Network, compression float64) error {
-	return traffic.DefaultCello(compression).Install(net.Traffic())
 }
 
 // GenerateCelloTrace synthesizes the cello-model SAN workload as a
@@ -405,14 +289,11 @@ func WriteTrace(w io.Writer, tr Trace) error { return traffic.WriteTrace(w, tr) 
 func ReadTrace(r io.Reader) (Trace, error) { return traffic.ReadTrace(r) }
 
 // ReplayTrace installs a trace on a network with the paper's time
-// compression factor. Injection errors are reported as for
-// InstallCorner.
+// compression factor. An injection that fails mid-run does not stop
+// the run: Network.InjectErr reports it afterwards.
 func ReplayTrace(net *Network, tr Trace, compression float64) error {
 	return traffic.Replay{Trace: tr, Compression: compression}.Install(net.Traffic())
 }
-
-// Table1 reproduces the paper's Table 1.
-func Table1() (*Table, error) { return experiments.Table1() }
 
 // FigureIDs lists every reproducible experiment, in paper order. (The
 // registry itself lives in internal/experiments so the sweep daemon
@@ -422,17 +303,22 @@ func FigureIDs() []string { return experiments.FigureIDs() }
 // SweepSAQs runs the SAQ-count ablation over an explicit list of
 // per-port SAQ counts.
 func SweepSAQs(o Options, counts []int) ([]*Table, error) {
-	t, err := experiments.AblationSAQCount(o, counts)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t}, nil
+	return ablation(o, experiments.AblationSAQCount, counts)
 }
 
 // SweepThresholds runs the detection-threshold ablation over an
 // explicit list of byte thresholds.
 func SweepThresholds(o Options, detectBytes []int) ([]*Table, error) {
-	t, err := experiments.AblationThreshold(o, detectBytes)
+	return ablation(o, experiments.AblationThreshold, detectBytes)
+}
+
+// ablation runs one list-taking ablation. Like Reproduce, it rejects an
+// invalid option set with an *OptionError before anything simulates.
+func ablation(o Options, run func(Options, []int) (*Table, error), list []int) ([]*Table, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	t, err := run(o, list)
 	if err != nil {
 		return nil, err
 	}
@@ -443,5 +329,12 @@ func SweepThresholds(o Options, detectBytes []int) ([]*Table, error) {
 // ("table1", "2a"–"2d", "3a"/"3b", "4a"/"4b", "5a"/"5b", "6a"/"6b",
 // "pkt512a"/"pkt512b", ablations "a1"–"a4", and the latency extension
 // "lat1"/"lat2"). Options.Scale trades fidelity for speed; 1.0
-// reproduces the paper's durations.
-func Reproduce(id string, o Options) ([]*Table, error) { return experiments.Reproduce(id, o) }
+// reproduces the paper's durations. An unknown ID or an invalid option
+// set is rejected with an *OptionError (Options.Validate) before
+// anything simulates.
+func Reproduce(id string, o Options) ([]*Table, error) {
+	if err := o.Validate(id); err != nil {
+		return nil, err
+	}
+	return experiments.Reproduce(id, o)
+}

@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -69,6 +71,32 @@ func TestReproduceTable1(t *testing.T) {
 	}
 	if _, err := Reproduce("nope", Options{}); err == nil {
 		t.Error("unknown figure accepted")
+	}
+}
+
+// The facade's Options entry points run Options.Validate first: a
+// negative scale is rejected as recnsim and the daemon reject it,
+// instead of being defaulted into a paper-length run. The cache
+// directory shows that nothing ran.
+func TestFacadeValidatesOptions(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Scale: -1, CacheDir: dir}
+	for name, call := range map[string]func() ([]*Table, error){
+		"Reproduce":       func() ([]*Table, error) { return Reproduce("2a", o) },
+		"SweepSAQs":       func() ([]*Table, error) { return SweepSAQs(o, []int{8}) },
+		"SweepThresholds": func() ([]*Table, error) { return SweepThresholds(o, []int{8192}) },
+	} {
+		tables, err := call()
+		var oe *OptionError
+		if !errors.As(err, &oe) || oe.Field != "scale" {
+			t.Errorf("%s(scale -1) = %v, want an *OptionError on scale", name, err)
+		}
+		if tables != nil {
+			t.Errorf("%s(scale -1) returned tables", name)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("rejected options left %d cache entries (%v)", len(entries), err)
 	}
 }
 
@@ -143,26 +171,12 @@ func TestInstallCornerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := InstallCorner(net, c); err != nil {
+	if err := c.Install(net.Traffic()); err != nil {
 		t.Fatal(err)
 	}
 	net.Engine.Run(c.SimEnd)
 	if net.DeliveredPackets == 0 {
 		t.Fatal("corner workload delivered nothing")
-	}
-}
-
-func TestInstallCelloFacade(t *testing.T) {
-	net, err := NewNetwork(64, PolicyRECN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := InstallCello(net, 40); err != nil {
-		t.Fatal(err)
-	}
-	net.Engine.Run(100 * Microsecond)
-	if net.InjectedPackets == 0 {
-		t.Fatal("cello injected nothing")
 	}
 }
 
@@ -196,51 +210,36 @@ func shardedFacadeNet(t *testing.T, k int) *Network {
 	return net
 }
 
-// The facade's install functions bind each source to its host's shard
-// engine: a drained trace replay and the first 100 µs of the cello
-// model deliver the same packets and bytes at every shard count, in
-// order.
+// ReplayTrace binds each source to its host's shard engine: a drained
+// trace replay delivers the same packets and bytes at every shard
+// count, in order. (The cello model installed directly is pinned the
+// same way by experiments.TestShardReportIdentityCello.)
 func TestFacadeInstallsShardIdentity(t *testing.T) {
 	tr, err := GenerateCelloTrace(64, 200*Microsecond, 20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	installs := []struct {
-		name    string
-		install func(*Network) error
-		until   Time // 0 drains
-	}{
-		{"replay", func(net *Network) error { return ReplayTrace(net, tr, 40) }, 0},
-		{"cello", func(net *Network) error { return InstallCello(net, 40) }, 100 * Microsecond},
-	}
-	for _, in := range installs {
-		var base [2]uint64
-		for _, k := range []int{1, 4} {
-			net := shardedFacadeNet(t, k)
-			if err := in.install(net); err != nil {
-				t.Fatal(err)
-			}
-			if in.until == 0 {
-				net.DrainWindowed()
-			} else {
-				net.RunWindowed(in.until)
-				net.FinishWindowed()
-			}
-			if err := net.InjectErr(); err != nil {
-				t.Fatalf("%s shards=%d: %v", in.name, k, err)
-			}
-			if net.OrderViolations != 0 {
-				t.Fatalf("%s shards=%d: %d order violations", in.name, k, net.OrderViolations)
-			}
-			got := [2]uint64{net.DeliveredPackets, net.DeliveredBytes}
-			if got[0] == 0 {
-				t.Fatalf("%s shards=%d delivered nothing", in.name, k)
-			}
-			if k == 1 {
-				base = got
-			} else if got != base {
-				t.Errorf("%s shards=%d delivered %v packets/bytes, shards=1 %v", in.name, k, got, base)
-			}
+	var base [2]uint64
+	for _, k := range []int{1, 4} {
+		net := shardedFacadeNet(t, k)
+		if err := ReplayTrace(net, tr, 40); err != nil {
+			t.Fatal(err)
+		}
+		net.DrainWindowed()
+		if err := net.InjectErr(); err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if net.OrderViolations != 0 {
+			t.Fatalf("shards=%d: %d order violations", k, net.OrderViolations)
+		}
+		got := [2]uint64{net.DeliveredPackets, net.DeliveredBytes}
+		if got[0] == 0 {
+			t.Fatalf("shards=%d delivered nothing", k)
+		}
+		if k == 1 {
+			base = got
+		} else if got != base {
+			t.Errorf("shards=%d delivered %v packets/bytes, shards=1 %v", k, got, base)
 		}
 	}
 }
@@ -256,7 +255,7 @@ func TestInstallCornerInjectErr(t *testing.T) {
 	want := ""
 	for _, k := range []int{0, 2} {
 		net := shardedFacadeNet(t, k)
-		if err := InstallCorner(net, c); err != nil {
+		if err := c.Install(net.Traffic()); err != nil {
 			t.Fatal(err)
 		}
 		if k > 0 {

@@ -13,8 +13,7 @@ status=0
 declare -A seen
 while IFS= read -r line; do
 	sel=$(sed -nE "s/.*-run[= ]+('([^']*)'|\"([^\"]*)\"|([^ ]+)).*/\2\3\4/p" <<<"$line")
-	# -run='^$' deliberately selects nothing (benchmark-only steps).
-	if [ -z "$sel" ] || [ "$sel" = '^$' ]; then
+	if [ -z "$sel" ]; then
 		continue
 	fi
 	pkgs=$(tr ' ' '\n' <<<"$line" | grep -E '^\.(/|$)' | tr '\n' ' ')

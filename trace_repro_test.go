@@ -82,14 +82,14 @@ func TestTraceLifecycle(t *testing.T) {
 	if len(trees) == 0 {
 		t.Fatal("no congestion trees reconstructed from a hotspot run")
 	}
-	var full *TraceTree
+	full := trees[0]
 	for _, tree := range trees {
 		if tree.Allocs > 0 && tree.Deallocs > 0 && tree.Tokens > 0 {
 			full = tree
 			break
 		}
 	}
-	if full == nil {
+	if full.Allocs == 0 || full.Deallocs == 0 || full.Tokens == 0 {
 		t.Fatalf("no tree with a complete alloc→token→dealloc lifecycle among %d trees", len(trees))
 	}
 	if full.Born < 0 {
