@@ -66,7 +66,7 @@ policy-matrix:
 # at -shards 1 vs 4 (byte-identity), and a short chaos soak (which
 # samples the fat-tree topology on a quarter of its seeds).
 scale-smoke:
-	$(GO) test -race -run 'TestFatTree|TestPreTouchedState|TestLazyCAM|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction' ./internal/topology/ ./internal/fabric/ ./internal/recn/ ./internal/experiments/
+	$(GO) test -race -run 'TestFatTree|TestPreTouchedState|TestLazyCAM|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction|TestSAQCensusMatchesWalk' ./internal/topology/ ./internal/fabric/ ./internal/recn/ ./internal/experiments/
 	$(GO) build -o /tmp/recnsim-scale ./cmd/recnsim
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 1 > /tmp/scaling1k-s1.txt
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 4 > /tmp/scaling1k-s4.txt

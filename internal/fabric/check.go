@@ -189,18 +189,29 @@ func (n *Network) auditCreditBounds() {
 
 // auditSAQLifecycle verifies the controller accounting at every RECN
 // port: SAQs allocated minus deallocated must equal the live SAQ count
-// must equal the used CAM lines — a divergence is a leaked or
-// double-freed CAM line / SAQ.
+// (the used CAM lines) — a divergence is a leaked or double-freed
+// CAM line / SAQ. The ports' counts must also add up to the shard
+// censuses SAQUsage reads: total and per-side maxima.
 func (n *Network) auditSAQLifecycle() {
+	total, maxIn, maxOut := 0, 0, 0
 	n.forEachCtl(func(c saqCtl, loc trace.Loc, _ *shardCtx) {
-		st, active, camUsed := c.Stats(), c.ActiveSAQs(), c.CAMUsed()
-		live := st.Allocs - st.Deallocs
-		if live != uint64(active) || active != camUsed {
+		st, active := c.Stats(), c.ActiveSAQs()
+		if live := st.Allocs - st.Deallocs; live != uint64(active) {
 			n.check.Failf(check.RuleSAQLifecycle, loc,
-				"allocs %d - deallocs %d = %d, active SAQs %d, CAM lines %d",
-				st.Allocs, st.Deallocs, live, active, camUsed)
+				"allocs %d - deallocs %d = %d, active SAQs %d", st.Allocs, st.Deallocs, live, active)
+		}
+		total += active
+		if loc.Dir == trace.DirIn {
+			maxIn = max(maxIn, active)
+		} else {
+			maxOut = max(maxOut, active)
 		}
 	})
+	if t, mi, mo := n.SAQUsage(); t != total || mi != maxIn || mo != maxOut {
+		n.check.Failf(check.RuleSAQLifecycle, trace.NetLoc,
+			"SAQ census %d (max ingress %d, egress %d), ports hold %d (max ingress %d, egress %d)",
+			t, mi, mo, total, maxIn, maxOut)
+	}
 }
 
 // auditThrottle verifies every source's AIMD pacer contract

@@ -407,5 +407,10 @@ func (u *egressUnit) SendTokenDownstream(path pkt.Path, refused bool) {
 	u.ch.pushCtl(recn.CtlMsg{Kind: recn.MsgToken, Path: path, Refused: refused})
 }
 
+// SAQsChanged keeps the owning shard context's SAQ census (NIC
+// injection ports count as egress).
+func (u *egressUnit) SAQsChanged(from, to int) { u.sc.saqs.out.move(from, to) }
+
 var _ recn.EgressEffects = (*egressUnit)(nil)
+var _ recn.SAQCounter = (*egressUnit)(nil)
 var _ dataSource = (*egressUnit)(nil)

@@ -555,46 +555,25 @@ const idleSweepPeriod = 50 * sim.Microsecond
 // runSweep is the sweep driver's tick (periodic.go).
 func (n *Network) runSweep() bool {
 	n.forEachCtl(func(c saqCtl, _ trace.Loc, _ *shardCtx) { c.SweepIdle() })
-	total, _, _ := n.SAQUsage()
-	return total > 0
+	return n.saqsLive()
 }
 
 // SAQUsage returns the current total number of allocated SAQs in the
 // whole network and the maximum per ingress and egress port (the series
 // plotted in the paper's Figures 4–6). NIC injection ports count as
-// egress ports.
+// egress ports. It reads the shard contexts' censuses, so it costs
+// O(shards × MaxSAQs) rather than a visit to every port; in windowed
+// mode call it from barrier context only.
 func (n *Network) SAQUsage() (total, maxIngress, maxEgress int) {
-	for _, sw := range n.switches {
-		for _, in := range sw.in {
-			if in == nil || in.rc == nil {
-				continue
-			}
-			c := in.rc.ActiveSAQs()
-			total += c
-			if c > maxIngress {
-				maxIngress = c
-			}
-		}
-		for _, out := range sw.out {
-			if out == nil || out.rc == nil {
-				continue
-			}
-			c := out.rc.ActiveSAQs()
-			total += c
-			if c > maxEgress {
-				maxEgress = c
-			}
-		}
+	ctxs := n.shards
+	if ctxs == nil {
+		ctxs = []*shardCtx{n.base}
 	}
-	for _, nic := range n.nics {
-		if nic.inj.rc == nil {
-			continue
-		}
-		c := nic.inj.rc.ActiveSAQs()
-		total += c
-		if c > maxEgress {
-			maxEgress = c
-		}
+	for _, sc := range ctxs {
+		inTotal, inMost := sc.saqs.in.usage()
+		outTotal, outMost := sc.saqs.out.usage()
+		total += inTotal + outTotal
+		maxIngress, maxEgress = max(maxIngress, inMost), max(maxEgress, outMost)
 	}
 	return total, maxIngress, maxEgress
 }
@@ -623,7 +602,6 @@ func (n *Network) RECNStats() recn.Stats {
 // either side.
 type saqCtl interface {
 	ActiveSAQs() int
-	CAMUsed() int
 	Materialized() bool
 	Stats() recn.Stats
 	SweepIdle()

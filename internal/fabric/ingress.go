@@ -378,5 +378,9 @@ func (u *ingressUnit) TokenToEgress(egress int, rest pkt.Path) {
 	ou.rc.OnTokenFromIngress(u.port, rest)
 }
 
+// SAQsChanged keeps the owning shard context's SAQ census.
+func (u *ingressUnit) SAQsChanged(from, to int) { u.sc.saqs.in.move(from, to) }
+
 var _ linkSink = (*ingressUnit)(nil)
 var _ recn.IngressEffects = (*ingressUnit)(nil)
+var _ recn.SAQCounter = (*ingressUnit)(nil)

@@ -101,6 +101,43 @@ type shardCtx struct {
 	// due holds the periodic-driver arm requests recorded during a
 	// window (0 = none), folded by collectDues at the next barrier.
 	due [numDrivers]sim.Time
+
+	// saqs is the census of the live SAQs at the RECN ports this
+	// context owns, kept by the controllers (recn.SAQCounter) and read
+	// by SAQUsage at barrier time.
+	saqs saqCensus
+}
+
+// saqCensus counts the ports of one shard context by how many SAQs
+// they hold, per side; NIC injection ports count as egress.
+type saqCensus struct{ in, out portHist }
+
+// portHist counts ports by live SAQs: h[k-1] ports hold k SAQs. It
+// grows to the largest count seen, at most MaxSAQs entries.
+type portHist []int
+
+// move records one port's change from `from` to `to` live SAQs.
+func (h *portHist) move(from, to int) {
+	for len(*h) < to {
+		*h = append(*h, 0)
+	}
+	if from > 0 {
+		(*h)[from-1]--
+	}
+	if to > 0 {
+		(*h)[to-1]++
+	}
+}
+
+// usage returns the SAQs held in total and the most any one port holds.
+func (h portHist) usage() (total, most int) {
+	for i, ports := range h {
+		total += (i + 1) * ports
+		if ports > 0 {
+			most = i + 1
+		}
+	}
+	return total, most
 }
 
 // deliver is called by a NIC when a packet fully arrives at its host.

@@ -121,9 +121,6 @@ func (n *Network) watchdogTick() bool {
 }
 
 func (n *Network) saqsLive() bool {
-	if !n.q.saqs {
-		return false
-	}
 	total, _, _ := n.SAQUsage()
 	return total > 0
 }

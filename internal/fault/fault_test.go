@@ -183,6 +183,17 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
+// A bad flap field names its cause: the duration parser's own error,
+// not just "bad field".
+func TestParsePlanFieldErrorKeepsCause(t *testing.T) {
+	for _, spec := range []string{"flap=0:4:1e14ms:1e15ms", "flaphost=3:1e14ms:1e15ms"} {
+		_, err := ParsePlan(spec)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("ParsePlan(%q) = %v, want the duration's out-of-range error", spec, err)
+		}
+	}
+}
+
 func TestRecoveryDefaults(t *testing.T) {
 	r := Recovery{Enabled: true, Period: 5 * sim.Microsecond}.WithDefaults()
 	if r.Period != 5*sim.Microsecond {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -115,8 +116,8 @@ func (p *Plan) parseItem(key, val string) error {
 		port, err2 := strconv.Atoi(parts[1])
 		down, err3 := sim.ParseTime(parts[2])
 		up, err4 := sim.ParseTime(parts[3])
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return fmt.Errorf("fault: flap %q: bad field", val)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			return fmt.Errorf("fault: flap %q: bad field: %w", val, err)
 		}
 		p.Flap(LinkFlap{Switch: swID, Port: port, Host: -1, Down: down, Up: up})
 	case "flaphost":
@@ -127,8 +128,8 @@ func (p *Plan) parseItem(key, val string) error {
 		host, err1 := strconv.Atoi(parts[0])
 		down, err2 := sim.ParseTime(parts[1])
 		up, err3 := sim.ParseTime(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return fmt.Errorf("fault: flaphost %q: bad field", val)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return fmt.Errorf("fault: flaphost %q: bad field: %w", val, err)
 		}
 		p.Flap(LinkFlap{Host: host, Down: down, Up: up})
 	default:

@@ -3,7 +3,6 @@ package recn
 import (
 	"fmt"
 
-	"repro/internal/cam"
 	"repro/internal/mempool"
 	"repro/internal/pkt"
 )
@@ -25,27 +24,10 @@ type EgressEffects interface {
 // Egress is the RECN controller of an output port (or NIC injection
 // port). See the package comment for the role split.
 type Egress struct {
-	cfg  Config
-	port int // this output port's index within its switch
+	table
 	// terminal: a NIC injection port — congestion is never propagated
 	// further (the "upstream" is the traffic source itself).
 	terminal bool
-
-	cam  *cam.Table
-	pool *mempool.Pool
-	// normals are the queues for uncongested flows — one per traffic
-	// class (paper footnote 1: "Several queues can be used for
-	// non-congested flows, thus providing support for multiple traffic
-	// classes").
-	normals []*mempool.Queue
-	// saqs is indexed by CAM line ID (nil = free line); with ≤8 lines,
-	// slice indexing and linear UID scans beat maps and never allocate.
-	saqs   []*SAQ
-	active int
-	// freed SAQs are recycled (with their queues) through a plain LIFO
-	// free-list — deterministic, unlike sync.Pool.
-	free   []*SAQ
-	uidSeq int
 
 	// Root state: this port's normal queue is the root of a
 	// congestion tree. rootNotified dedups recruiting per input port;
@@ -57,13 +39,8 @@ type Egress struct {
 	rootNotified uint64
 	rootBranch   uint64
 
-	fx    EgressEffects
-	tr    Tracer
-	stats Stats
+	fx EgressEffects
 }
-
-// SetTracer installs a flight-recorder tap (nil disables tracing).
-func (e *Egress) SetTracer(tr Tracer) { e.tr = tr }
 
 // NewEgress builds the controller for one output port with its CAM
 // table in place, panicking on bad arguments (the constructor the tests
@@ -83,84 +60,13 @@ func NewEgress(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queu
 }
 
 // Init (re)builds the controller in place (arena-allocated controllers
-// use this — see fabric.New). The CAM table and SAQ slot array are
-// deferred to the first congestion event on this port: most ports of a
-// large fabric never see one, and an absent CAM behaves exactly like an
-// empty one.
+// use this — see fabric.New); see newTable for what is deferred.
 func (e *Egress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, terminal bool, fx EgressEffects) error {
-	if err := cfg.Validate(); err != nil {
+	t, err := newTable("egress", cfg, port, pool, normals, fx)
+	if err != nil {
 		return err
 	}
-	if fx == nil {
-		return fmt.Errorf("recn: egress init with nil effects")
-	}
-	if len(normals) == 0 {
-		return fmt.Errorf("recn: egress init without normal queues")
-	}
-	*e = Egress{
-		cfg:      cfg,
-		port:     port,
-		terminal: terminal,
-		pool:     pool,
-		normals:  normals,
-		fx:       fx,
-	}
-	return nil
-}
-
-// ensure materializes the CAM table and SAQ slots on first use.
-func (e *Egress) ensure() {
-	if e.cam == nil {
-		e.cam = cam.New(e.cfg.MaxSAQs)
-		e.saqs = make([]*SAQ, e.cfg.MaxSAQs)
-	}
-}
-
-// takeSAQ recycles (or builds) a SAQ for CAM line id. The queue object
-// is reused across allocations: deallocation requires an idle queue, so
-// a recycled queue is always empty with no resident bytes.
-func (e *Egress) takeSAQ(id int, path pkt.Path) *SAQ {
-	e.uidSeq++
-	var s *SAQ
-	if n := len(e.free); n > 0 {
-		s = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*s = SAQ{Q: s.Q}
-	} else {
-		s = &SAQ{Q: mempool.NewQueue(e.pool, 0)}
-	}
-	s.ID = id
-	s.UID = e.uidSeq
-	s.Path = path
-	return s
-}
-
-// saqByUID finds a live SAQ by its unique ID (nil when gone — stale
-// markers reference deallocated UIDs).
-func (e *Egress) saqByUID(uid int) *SAQ {
-	for _, s := range e.saqs {
-		if s != nil && s.UID == uid {
-			return s
-		}
-	}
-	return nil
-}
-
-// Classify returns the SAQ an arriving packet (already forwarded
-// through the crossbar, so route[hop:] starts at the next switch) must
-// be stored in, or nil for the normal queue (paper §3.6).
-func (e *Egress) Classify(route pkt.Route, hop int) *SAQ {
-	if e.cam == nil || e.cam.Used() == 0 {
-		return nil
-	}
-	id, ok := e.cam.Match(route, hop)
-	if e.tr != nil {
-		e.tr.CAMLookup(ok)
-	}
-	if ok {
-		return e.saqs[id]
-	}
+	*e = Egress{table: t, terminal: terminal, fx: fx}
 	return nil
 }
 
@@ -248,41 +154,8 @@ func (e *Egress) notifyIngress(s *SAQ, ingress int) {
 // the path, placing an in-order marker in the normal queue. On refusal
 // the token immediately returns downstream (paper §3.4, §3.8).
 func (e *Egress) OnUpstreamNotification(path pkt.Path) {
-	e.ensure()
-	if _, ok := e.cam.Lookup(path); ok {
-		// Duplicate (can only happen through message races); refuse.
-		e.stats.Refusals++
+	if _, ok := e.allocate(path, e.fx); !ok {
 		e.sendToken(path, true)
-		return
-	}
-	id, ok := e.cam.Allocate(path)
-	if !ok {
-		e.stats.Refusals++
-		e.sendToken(path, true)
-		return
-	}
-	s := e.takeSAQ(id, path)
-	s.leaf = true
-	e.saqs[id] = s
-	e.active++
-	if !e.cfg.NoInOrderMarkers {
-		// In-order markers: the normal queue, plus every SAQ with a
-		// proper prefix path (its packets may match the longer path).
-		for _, q := range e.normals {
-			q.PushMarker(s.UID)
-			s.markersPending++
-		}
-		e.ForEachSAQ(func(t *SAQ) {
-			if t != s && path.HasPrefix(t.Path) {
-				t.Q.PushMarker(s.UID)
-				s.markersPending++
-			}
-		})
-	}
-	e.stats.Allocs++
-	e.stats.MarkersPlaced += uint64(s.markersPending)
-	if e.tr != nil {
-		e.tr.SAQAlloc(s.ID, s.UID, s.Path)
 	}
 }
 
@@ -292,9 +165,7 @@ func (e *Egress) OnUpstreamNotification(path pkt.Path) {
 // Queues that only held markers may now be idle, so deallocation is
 // re-checked everywhere.
 func (e *Egress) ResolveMarker(uid int) {
-	if s := e.saqByUID(uid); s != nil && s.markersPending > 0 {
-		s.markersPending--
-	}
+	e.resolveMarker(uid)
 	// CAM-line order, not map order: deallocations send tokens, and
 	// their relative order must be identical across runs.
 	e.ForEachSAQ(e.maybeDealloc)
@@ -428,16 +299,8 @@ func (e *Egress) SweepIdle() {
 }
 
 func (e *Egress) dealloc(s *SAQ) {
-	e.cam.Free(s.ID)
-	e.saqs[s.ID] = nil
-	e.active--
-	e.stats.Deallocs++
-	if e.tr != nil {
-		e.tr.SAQDealloc(s.ID, s.UID, s.Path)
-	}
-	path := s.Path
-	e.free = append(e.free, s)
-	e.sendToken(path, false)
+	e.release(s, e.fx)
+	e.sendToken(s.Path, false)
 }
 
 // sendToken returns a token downstream. NIC injection ports send it
@@ -508,45 +371,6 @@ func (e *Egress) AuditRemoteStops(limit int) int {
 // Root reports whether this port is currently a congestion-tree root.
 func (e *Egress) Root() bool { return e.root }
 
-// ActiveSAQs returns the number of SAQs currently allocated.
-func (e *Egress) ActiveSAQs() int { return e.active }
-
-// CAMUsed returns the number of CAM lines currently allocated. The
-// invariant checker cross-checks it against ActiveSAQs and the
-// allocation counters: a divergence means a leaked or double-freed
-// line.
-func (e *Egress) CAMUsed() int {
-	if e.cam == nil {
-		return 0
-	}
-	return e.cam.Used()
-}
-
-// Materialized reports whether this controller ever saw a congestion
-// event (its CAM and SAQ table exist). Used by the memory model: an
-// unmaterialized controller holds no per-SAQ state at all.
-func (e *Egress) Materialized() bool { return e.cam != nil }
-
-// SAQByID returns a SAQ by CAM line ID (nil when the line is free).
-func (e *Egress) SAQByID(id int) *SAQ {
-	if id < 0 || id >= len(e.saqs) {
-		return nil
-	}
-	return e.saqs[id]
-}
-
-// ForEachSAQ iterates over allocated SAQs in CAM line order.
-func (e *Egress) ForEachSAQ(fn func(s *SAQ)) {
-	for _, s := range e.saqs {
-		if s != nil {
-			fn(s)
-		}
-	}
-}
-
-// Stats returns a copy of the event counters.
-func (e *Egress) Stats() Stats { return e.stats }
-
 func (e *Egress) String() string {
-	return fmt.Sprintf("egress{port %d, %d SAQs, root=%v}", e.port, e.active, e.root)
+	return fmt.Sprintf("egress{port %d, %d SAQs, root=%v}", e.port, e.ActiveSAQs(), e.root)
 }

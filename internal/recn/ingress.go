@@ -3,7 +3,6 @@ package recn
 import (
 	"fmt"
 
-	"repro/internal/cam"
 	"repro/internal/mempool"
 	"repro/internal/pkt"
 )
@@ -22,28 +21,9 @@ type IngressEffects interface {
 
 // Ingress is the RECN controller of a switch input port.
 type Ingress struct {
-	cfg  Config
-	port int // this input port's index within its switch
-
-	cam     *cam.Table
-	pool    *mempool.Pool
-	normals []*mempool.Queue // queues for uncongested flows (per class)
-	// saqs is indexed by CAM line ID (nil = free line); with ≤8 lines,
-	// slice indexing and linear UID scans beat maps and never allocate.
-	saqs   []*SAQ
-	active int
-	// freed SAQs are recycled (with their queues) through a plain LIFO
-	// free-list — deterministic, unlike sync.Pool.
-	free   []*SAQ
-	uidSeq int
-
-	fx    IngressEffects
-	tr    Tracer
-	stats Stats
+	table
+	fx IngressEffects
 }
-
-// SetTracer installs a flight-recorder tap (nil disables tracing).
-func (in *Ingress) SetTracer(tr Tracer) { in.tr = tr }
 
 // NewIngress builds the controller for one input port with its CAM
 // table in place, panicking on bad arguments (the constructor the tests
@@ -58,83 +38,13 @@ func NewIngress(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Que
 }
 
 // Init (re)builds the controller in place (arena-allocated controllers
-// use this — see fabric.New). The CAM table and SAQ slot array are
-// deferred to the first congestion event on this port: most ports of a
-// large fabric never see one, and an absent CAM behaves exactly like an
-// empty one.
+// use this — see fabric.New); see newTable for what is deferred.
 func (in *Ingress) Init(cfg Config, port int, pool *mempool.Pool, normals []*mempool.Queue, fx IngressEffects) error {
-	if err := cfg.Validate(); err != nil {
+	t, err := newTable("ingress", cfg, port, pool, normals, fx)
+	if err != nil {
 		return err
 	}
-	if fx == nil {
-		return fmt.Errorf("recn: ingress init with nil effects")
-	}
-	if len(normals) == 0 {
-		return fmt.Errorf("recn: ingress init without normal queues")
-	}
-	*in = Ingress{
-		cfg:     cfg,
-		port:    port,
-		pool:    pool,
-		normals: normals,
-		fx:      fx,
-	}
-	return nil
-}
-
-// ensure materializes the CAM table and SAQ slots on first use.
-func (in *Ingress) ensure() {
-	if in.cam == nil {
-		in.cam = cam.New(in.cfg.MaxSAQs)
-		in.saqs = make([]*SAQ, in.cfg.MaxSAQs)
-	}
-}
-
-// takeSAQ recycles (or builds) a SAQ for CAM line id. The queue object
-// is reused across allocations: deallocation requires an idle queue, so
-// a recycled queue is always empty with no resident bytes.
-func (in *Ingress) takeSAQ(id int, path pkt.Path) *SAQ {
-	in.uidSeq++
-	var s *SAQ
-	if n := len(in.free); n > 0 {
-		s = in.free[n-1]
-		in.free[n-1] = nil
-		in.free = in.free[:n-1]
-		*s = SAQ{Q: s.Q}
-	} else {
-		s = &SAQ{Q: mempool.NewQueue(in.pool, 0)}
-	}
-	s.ID = id
-	s.UID = in.uidSeq
-	s.Path = path
-	return s
-}
-
-// saqByUID finds a live SAQ by its unique ID (nil when gone — stale
-// markers reference deallocated UIDs).
-func (in *Ingress) saqByUID(uid int) *SAQ {
-	for _, s := range in.saqs {
-		if s != nil && s.UID == uid {
-			return s
-		}
-	}
-	return nil
-}
-
-// Classify returns the SAQ an arriving packet must be stored in, or
-// nil for the normal queue. route[hop:] begins with the turn at this
-// switch (paper §3.6).
-func (in *Ingress) Classify(route pkt.Route, hop int) *SAQ {
-	if in.cam == nil || in.cam.Used() == 0 {
-		return nil
-	}
-	id, ok := in.cam.Match(route, hop)
-	if in.tr != nil {
-		in.tr.CAMLookup(ok)
-	}
-	if ok {
-		return in.saqs[id]
-	}
+	*in = Ingress{table: t, fx: fx}
 	return nil
 }
 
@@ -147,41 +57,11 @@ func (in *Ingress) OnNotifyLocal(path pkt.Path) bool {
 	if path.Empty() {
 		panic("recn: internal notification with empty path")
 	}
-	in.ensure()
-	if _, ok := in.cam.Lookup(path); ok {
-		in.stats.Refusals++
-		return false
+	s, ok := in.allocate(path, in.fx)
+	if ok {
+		s.reArm = true
 	}
-	id, ok := in.cam.Allocate(path)
-	if !ok {
-		in.stats.Refusals++
-		return false
-	}
-	s := in.takeSAQ(id, path)
-	s.leaf = true
-	s.reArm = true
-	in.saqs[id] = s
-	in.active++
-	if !in.cfg.NoInOrderMarkers {
-		// In-order markers: the normal queue, plus every SAQ with a
-		// proper prefix path (its packets may match the longer path).
-		for _, q := range in.normals {
-			q.PushMarker(s.UID)
-			s.markersPending++
-		}
-		in.ForEachSAQ(func(t *SAQ) {
-			if t != s && path.HasPrefix(t.Path) {
-				t.Q.PushMarker(s.UID)
-				s.markersPending++
-			}
-		})
-	}
-	in.stats.Allocs++
-	in.stats.MarkersPlaced += uint64(s.markersPending)
-	if in.tr != nil {
-		in.tr.SAQAlloc(s.ID, s.UID, s.Path)
-	}
-	return true
+	return ok
 }
 
 // OnStored is called by the fabric after a packet of the given size has
@@ -255,9 +135,7 @@ func (in *Ingress) OnTokenFromUpstream(path pkt.Path, refused bool) {
 // queue. Stale markers are inert. Queues that only held markers may now
 // be idle, so deallocation is re-checked everywhere.
 func (in *Ingress) ResolveMarker(uid int) {
-	if s := in.saqByUID(uid); s != nil && s.markersPending > 0 {
-		s.markersPending--
-	}
+	in.resolveMarker(uid)
 	// CAM-line order, not map order: deallocations send tokens, and
 	// their relative order must be identical across runs.
 	in.ForEachSAQ(in.maybeDealloc)
@@ -317,17 +195,9 @@ func (in *Ingress) SweepIdle() {
 }
 
 func (in *Ingress) dealloc(s *SAQ) {
-	in.cam.Free(s.ID)
-	in.saqs[s.ID] = nil
-	in.active--
-	in.stats.Deallocs++
+	in.release(s, in.fx)
 	in.stats.TokensSent++
-	if in.tr != nil {
-		in.tr.SAQDealloc(s.ID, s.UID, s.Path)
-	}
-	egress, rest := int(s.Path.First()), s.Path.Rest()
-	in.free = append(in.free, s)
-	in.fx.TokenToEgress(egress, rest)
+	in.fx.TokenToEgress(int(s.Path.First()), s.Path.Rest())
 }
 
 // AuditTokens is the watchdog hook for lost tokens and notifications
@@ -392,48 +262,6 @@ func (in *Ingress) ResendStops() int {
 	return sent
 }
 
-// Port returns this input port's index within its switch.
-func (in *Ingress) Port() int { return in.port }
-
-// ActiveSAQs returns the number of SAQs currently allocated.
-func (in *Ingress) ActiveSAQs() int { return in.active }
-
-// CAMUsed returns the number of CAM lines currently allocated. The
-// invariant checker cross-checks it against ActiveSAQs and the
-// allocation counters: a divergence means a leaked or double-freed
-// line.
-func (in *Ingress) CAMUsed() int {
-	if in.cam == nil {
-		return 0
-	}
-	return in.cam.Used()
-}
-
-// Materialized reports whether this controller ever saw a congestion
-// event (its CAM and SAQ table exist). Used by the memory model: an
-// unmaterialized controller holds no per-SAQ state at all.
-func (in *Ingress) Materialized() bool { return in.cam != nil }
-
-// SAQByID returns a SAQ by CAM line ID (nil when the line is free).
-func (in *Ingress) SAQByID(id int) *SAQ {
-	if id < 0 || id >= len(in.saqs) {
-		return nil
-	}
-	return in.saqs[id]
-}
-
-// ForEachSAQ iterates over allocated SAQs in CAM line order.
-func (in *Ingress) ForEachSAQ(fn func(s *SAQ)) {
-	for _, s := range in.saqs {
-		if s != nil {
-			fn(s)
-		}
-	}
-}
-
-// Stats returns a copy of the event counters.
-func (in *Ingress) Stats() Stats { return in.stats }
-
 func (in *Ingress) String() string {
-	return fmt.Sprintf("ingress{port %d, %d SAQs}", in.port, in.active)
+	return fmt.Sprintf("ingress{port %d, %d SAQs}", in.port, in.ActiveSAQs())
 }

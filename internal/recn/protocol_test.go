@@ -278,7 +278,7 @@ func (h *protocolHarness) observe() string {
 		fmt.Fprintf(&b, " %s[%d uid=%d path=%v blocked=%v leaf=%v tx=%v boost=%v pkts=%d bytes=%d]",
 			tag, s.ID, s.UID, s.Path, s.Blocked(), s.Leaf(), eligible, boosted, s.Q.Packets(), s.Q.QueuedBytes())
 	}
-	fmt.Fprintf(&b, "%v %+v cam=%d normal=%d", h.eg, h.eg.Stats(), h.eg.CAMUsed(), h.egNormal.QueuedBytes())
+	fmt.Fprintf(&b, "%v %+v cam=%d normal=%d", h.eg, h.eg.Stats(), h.eg.ActiveSAQs(), h.egNormal.QueuedBytes())
 	h.eg.ForEachSAQ(func(s *SAQ) { saq("e", s, h.eg.EligibleTx(s), h.eg.Boosted(s)) })
 	for a := 0; a < 4; a++ {
 		for c := 0; c < 4; c++ {
@@ -291,7 +291,7 @@ func (h *protocolHarness) observe() string {
 		}
 	}
 	for i, ig := range h.ins {
-		fmt.Fprintf(&b, "\n%v %+v cam=%d normal=%d up=%v", ig, ig.Stats(), ig.CAMUsed(),
+		fmt.Fprintf(&b, "\n%v %+v cam=%d normal=%d up=%v", ig, ig.Stats(), ig.ActiveSAQs(),
 			h.inNormal[i].QueuedBytes(), h.upstream[i])
 		ig.ForEachSAQ(func(s *SAQ) { saq("i", s, ig.EligibleTx(s), ig.Boosted(s)) })
 		for a := 0; a < 4; a++ {

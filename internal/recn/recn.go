@@ -247,6 +247,16 @@ type Tracer interface {
 	CAMLookup(hit bool)
 }
 
+// SAQCounter is an optional interface of a controller's effects: the
+// fabric implements it to keep a census of live SAQs, so the network
+// totals and per-port maxima never need a walk over every port. Each
+// allocation and deallocation reports the port's move from `from` to
+// `to` live SAQs. Effects without a census (test stubs) simply do not
+// implement it.
+type SAQCounter interface {
+	SAQsChanged(from, to int)
+}
+
 // Stats aggregates controller event counters for reporting and tests.
 type Stats struct {
 	Allocs        uint64 // SAQs allocated
